@@ -45,12 +45,15 @@ from .algebra import (
 )
 from .invariants import (
     InvariantReport,
+    c0_constant,
+    companion_tensor,
     complex_sectional,
     first_bianchi_residual,
     full_curvature,
     holomorphic_sectional,
     invariants,
     sample_curvatures,
+    scalar_curvature,
     sectional,
     space_form,
     torsion_curvature,
@@ -60,15 +63,11 @@ from .liemodels import (
     LieModel,
     ModelError,
     build_model,
-    c0_constant,
     c0_prime,
     closed_form_constants,
     holonomy_commutant_dim,
     kappa,
-    companion_tensor,
     model_curvature,
-    model_space,
-    scalar_curvature,
 )
 from .maps import (
     MapDatum,

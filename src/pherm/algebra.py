@@ -78,9 +78,7 @@ def ricci_contraction(q: Curv4) -> Bil2:
 
 def hat(q: Curv4) -> Endo2Forms:
     """Operator induced on wedge 2-vectors, <Q^(X^Y), Z^W> = Q(X,Y,Z,W)."""
-    pairs = wedge_pairs(q.space)
-    a = np.array([p[0] for p in pairs])
-    b = np.array([p[1] for p in pairs])
+    a, b = np.array(wedge_pairs(q.space)).T  # first / second index of each pair
     # row = image pair (c,d), column = source pair (a,b)
     grid = q.entries[a[None, :], b[None, :], a[:, None], b[:, None]]
     return Endo2Forms(q.space, grid)
@@ -89,12 +87,9 @@ def hat(q: Curv4) -> Endo2Forms:
 def unhat(e: Endo2Forms, tags=frozenset()) -> Curv4:
     """Inverse of `hat`: rebuild the 4-tensor from the wedge-basis grid."""
     space = e.space
-    n = space.n
-    pairs = wedge_pairs(space)
-    q = np.zeros((n, n, n, n))
-    for col, (a, b) in enumerate(pairs):
-        for row, (c, d) in enumerate(pairs):
-            q[a, b, c, d] = e.entries[row, col]
+    a, b = np.array(wedge_pairs(space)).T
+    q = np.zeros((space.n,) * 4)
+    q[a[None, :], b[None, :], a[:, None], b[:, None]] = e.entries  # inverse of hat's gather
     q = q - np.einsum("yxzw->xyzw", q)
     q = q - np.einsum("xywz->xyzw", q)
     return Curv4(space, q, frozenset(tags))
@@ -127,29 +122,27 @@ def ring_action(q: Curv4, s: np.ndarray) -> np.ndarray:
     return ring_grid(q.entries, s)
 
 
-def j_split(q: Curv4) -> tuple[Curv4, Curv4]:
-    """J-invariant and J-anti-invariant parts (idempotent pair projections)."""
-    space = q.space
-    plus = split_average_grid(q.entries, space.J, +1)
-    minus = split_average_grid(q.entries, space.J, -1)
+def _pair_split(q: Curv4, P: np.ndarray, name: str) -> tuple[Curv4, Curv4]:
+    """The +/- parts of q under P-conjugation of both slot pairs, tagged
+    name_plus / name_minus (idempotent pair projections)."""
+    plus = split_average_grid(q.entries, P, +1)
+    minus = split_average_grid(q.entries, P, -1)
     keep = q.tags & {"pair_symmetric"}
     return (
-        Curv4(space, plus, keep | {"j_plus"}),
-        Curv4(space, minus, keep | {"j_minus"}),
+        Curv4(q.space, plus, keep | {f"{name}_plus"}),
+        Curv4(q.space, minus, keep | {f"{name}_minus"}),
     )
+
+
+def j_split(q: Curv4) -> tuple[Curv4, Curv4]:
+    """J-invariant and J-anti-invariant parts."""
+    return _pair_split(q, q.space.J, "j")
 
 
 def tau_split(q: Curv4) -> tuple[Curv4, Curv4]:
     """tau-invariant and tau-anti-invariant parts; requires torsion."""
-    space = q.space
-    space.require_torsion()
-    plus = split_average_grid(q.entries, space.tau, +1)
-    minus = split_average_grid(q.entries, space.tau, -1)
-    keep = q.tags & {"pair_symmetric"}
-    return (
-        Curv4(space, plus, keep | {"tau_plus"}),
-        Curv4(space, minus, keep | {"tau_minus"}),
-    )
+    q.space.require_torsion()
+    return _pair_split(q, q.space.tau, "tau")
 
 
 def primitive_part(q: Curv4) -> Curv4:
@@ -179,11 +172,6 @@ def two_tensor_j_split(space: HorizontalSpace, s: np.ndarray) -> tuple[np.ndarra
     """J-invariant / J-anti-invariant parts of a (vector-valued) 2-tensor."""
     js = np.einsum("ax,by,ab...->xy...", space.J, space.J, s)
     return 0.5 * (s + js), 0.5 * (s - js)
-
-
-def endo_pullback(P: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(P^* s)(X, Y) = s(PX, PY) for a (vector-valued) 2-tensor grid."""
-    return np.einsum("ax,by,ab...->xy...", P, P, s)
 
 
 @dataclass(frozen=True, eq=False)

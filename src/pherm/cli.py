@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .invariants import (
     first_bianchi_residual,
     full_curvature,
     invariants,
+    scalar_curvature,
     torsion_curvature,
 )
 from .liemodels import (
@@ -37,7 +39,6 @@ from .liemodels import (
     closed_form_constants,
     kappa,
     model_curvature,
-    scalar_curvature,
 )
 from .maps import canonical_Q, canonical_q_reference, identity_suite
 from .spaces import make_space
@@ -72,10 +73,14 @@ class RunConfig:
     trials: int = 100
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # a non-finite tolerance would pass (inf) or fail (nan) every suite
+        # whatever the residuals, and zero trials would check nothing
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
 
 
 def _table_row(family, params):
@@ -130,6 +135,8 @@ def cmd_table(config: RunConfig) -> dict:
 def cmd_model(config: RunConfig) -> dict:
     if not config.models:
         raise ValueError("the model command needs at least one --family/--params pair")
+    if len(config.seeds) > 1:
+        raise ValueError("the model command takes at most one --seed")
     blocks = []
     for family, params in config.models:
         model = build_model(family, tuple(params))

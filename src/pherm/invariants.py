@@ -4,7 +4,8 @@ The admissible inputs are pair-symmetric, Bianchi-closed, J-invariant
 curvature tensors.  From such a tensor the module computes the Ricci form
 data, the scalar curvature, the trace decomposition into scalar part,
 traceless-Ricci part and Chern-Moser remainder, the pseudo-Einstein flag,
-and sampled sectional / holomorphic / complex sectional curvatures.
+the balancing constant c0 and companion tensor c0 I^C_0 + CM, and sampled
+sectional / holomorphic / complex sectional curvatures.
 """
 from __future__ import annotations
 
@@ -112,6 +113,36 @@ def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
         holomorphic_range=ranges.get("holomorphic"),
         complex_sectional_range=ranges.get("complex_sectional"),
     )
+
+
+def scalar_curvature(rw: Curv4) -> float:
+    return float(np.einsum("ixiy,xy->", rw.entries, rw.space.g))
+
+
+def _c0_and_report(rw: Curv4) -> tuple[float, InvariantReport]:
+    d = rw.space.d
+    if d < 2:
+        raise ValueError("the companion tensor requires d >= 2")
+    s = scalar_curvature(rw)
+    if abs(s) < 1e-12:
+        raise ValueError("scalar curvature vanishes; constant undefined")
+    rep = invariants(rw)
+    return -(8.0 * d / (d - 1.0)) * rep.cm_norm2 / s, rep
+
+
+def c0_constant(rw: Curv4) -> float:
+    """The balancing constant -(8d/(d-1)) |CM|^2 / s of the orthogonal
+    companion tensor; requires d >= 2 and nonzero scalar curvature."""
+    return _c0_and_report(rw)[0]
+
+
+def companion_tensor(rw: Curv4) -> Curv4:
+    """c0 I^C_0 + CM: primitive, orthogonal to the primitive part of rw,
+    with Ricci contraction proportional to the metric."""
+    c0, rep = _c0_and_report(rw)
+    ic0 = canonical_tensors(rw.space).Ic0
+    grid = c0 * ic0.entries + rep.cm.entries
+    return Curv4(rw.space, grid, frozenset({"pair_symmetric", "j_plus", "primitive"}))
 
 
 def space_form(d: int, s: float, space: Optional[HorizontalSpace] = None) -> Curv4:
@@ -222,34 +253,24 @@ def sample_curvatures(rw: Curv4, n: int = 1000, seed: int = 0) -> dict:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     dim = rw.space.n
+
+    def complex_vector():
+        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+    # each draw consumes the generator in a fixed order, so the ranges are
+    # deterministic in the seed; degenerate planes are redrawn
+    draws = (
+        ("sectional", lambda: sectional(rw, rng.standard_normal(dim), rng.standard_normal(dim))),
+        ("holomorphic", lambda: holomorphic_sectional(rw, rng.standard_normal(dim))),
+        ("complex_sectional", lambda: complex_sectional(rw, complex_vector(), complex_vector())),
+    )
     out: dict[str, tuple[float, float]] = {}
-
-    vals = []
-    while len(vals) < n:
-        X = rng.standard_normal(dim)
-        Y = rng.standard_normal(dim)
-        try:
-            vals.append(sectional(rw, X, Y))
-        except ValueError:
-            continue
-    out["sectional"] = (float(np.min(vals)), float(np.max(vals)))
-
-    vals = []
-    while len(vals) < n:
-        X = rng.standard_normal(dim)
-        try:
-            vals.append(holomorphic_sectional(rw, X))
-        except ValueError:
-            continue
-    out["holomorphic"] = (float(np.min(vals)), float(np.max(vals)))
-
-    vals = []
-    while len(vals) < n:
-        Z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        W = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        try:
-            vals.append(complex_sectional(rw, Z, W))
-        except ValueError:
-            continue
-    out["complex_sectional"] = (float(np.min(vals)), float(np.max(vals)))
+    for name, draw in draws:
+        vals = []
+        while len(vals) < n:
+            try:
+                vals.append(draw())
+            except ValueError:
+                continue
+        out[name] = (float(np.min(vals)), float(np.max(vals)))
     return out

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .spaces import Curv4, HorizontalSpace, make_space
-from .algebra import canonical_tensors, norm2
-from .invariants import invariants
+from .spaces import Curv4, make_space
+from .algebra import norm2
+from .invariants import scalar_curvature
 
 FAMILIES = ("heisenberg", "su_pq", "sp_p_R", "so_p_2", "so_star_2p")
 
@@ -326,10 +326,6 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
     return LieModel(family, params, d, False, mats, L, C, K, xi, frame, metric_scale)
 
 
-def model_space(model: LieModel) -> HorizontalSpace:
-    return make_space(model.d)
-
-
 def model_curvature(model: LieModel) -> Curv4:
     """Curvature tensor in the adapted frame; zero for the flat family."""
     space = make_space(model.d)
@@ -344,10 +340,6 @@ def model_curvature(model: LieModel) -> Curv4:
     # the last slot pair is lowered with the (possibly rescaled) metric
     R = model.metric_scale * np.einsum("abk,kl,cel->abce", W, model.killing, W)
     return Curv4(space, R, frozenset({"pair_symmetric", "bianchi_closed", "j_plus"}))
-
-
-def scalar_curvature(rw: Curv4) -> float:
-    return float(np.einsum("ixiy,xy->", rw.entries, rw.space.g))
 
 
 def c0_prime(rw: Curv4) -> float:
@@ -386,29 +378,6 @@ def kappa(rw: Curv4) -> float:
     M = flat @ T @ flat.T
     M = 0.5 * (M + M.T)
     return float(np.linalg.eigvalsh(M)[0])
-
-
-def c0_constant(rw: Curv4) -> float:
-    """The balancing constant -(8d/(d-1)) |CM|^2 / s of the orthogonal
-    companion tensor; requires d >= 2 and nonzero scalar curvature."""
-    d = rw.space.d
-    if d < 2:
-        raise ValueError("the companion tensor requires d >= 2")
-    s = scalar_curvature(rw)
-    if abs(s) < 1e-12:
-        raise ValueError("scalar curvature vanishes; constant undefined")
-    rep = invariants(rw)
-    return -(8.0 * d / (d - 1.0)) * rep.cm_norm2 / s
-
-
-def companion_tensor(rw: Curv4) -> Curv4:
-    """c0 I^C_0 + CM: primitive, orthogonal to the primitive part of rw,
-    with Ricci contraction proportional to the metric."""
-    c0 = c0_constant(rw)
-    rep = invariants(rw)
-    ic0 = canonical_tensors(rw.space).Ic0
-    grid = c0 * ic0.entries + rep.cm.entries
-    return Curv4(rw.space, grid, frozenset({"pair_symmetric", "j_plus", "primitive"}))
 
 
 def holonomy_commutant_dim(rw: Curv4) -> int:

@@ -21,7 +21,9 @@ import numpy as np
 from .spaces import (
     Bil2,
     Curv4,
+    Endo2Forms,
     HorizontalSpace,
+    SpaceMismatchError,
     TOL,
     bianchi_grid,
     complexify,
@@ -33,11 +35,9 @@ from .spaces import (
     random_curv4,
     ring_grid,
     ricci_grid,
-    wedge_pairs,
 )
-from .algebra import canonical_tensors, hat, ring_action, two_tensor_j_split
-from .liemodels import c0_constant
-from .invariants import invariants
+from .algebra import canonical_tensors, hat, ring_action, two_tensor_j_split, unhat
+from .invariants import companion_tensor, full_curvature, space_form, torsion_curvature
 
 
 Q_VARIANTS = ("jminus", "jplus_primitive", "companion", "tau_jminus", "tau_jplus_primitive")
@@ -156,10 +156,9 @@ def canonical_Q(space: HorizontalSpace, variant: str, rw: Optional[Curv4] = None
     if variant == "companion":
         if rw is None:
             raise ValueError("variant 'companion' needs a curvature argument")
-        c0 = c0_constant(rw)
-        cm = invariants(rw).cm
-        grid = c0 * can.Ic0.entries + cm.entries
-        return Curv4(space, grid, frozenset({"pair_symmetric", "j_plus", "primitive"}))
+        if rw.space.d != space.d:
+            raise SpaceMismatchError("the curvature argument lives on another space")
+        return companion_tensor(rw)
     if variant == "tau_jminus":
         space.require_torsion()
         A, B = space.A, space.B
@@ -217,10 +216,6 @@ def pullback4(q: Curv4, m: MapDatum) -> Curv4:
     if m.is_cr:
         tags |= set(q.tags) & {"j_plus", "j_minus"}
     return Curv4(m.source, grid, frozenset(tags))
-
-
-def _trhat(grid: np.ndarray) -> float:
-    return 0.5 * float(np.einsum("abab->", grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +350,7 @@ def _resid_pullback_curvature_pairing(rng, source, target, fiber, broken):
     Rt = random_curv4(
         target, {"pair_symmetric", "bianchi_closed", "j_plus"}, seed + 1
     )
-    full = Rt.entries - 0.5 * (
-        kulkarni_grid(target.omega, target.A) - kulkarni_grid(target.g, target.B)
-    )
+    full = full_curvature(Rt).entries
     if broken:
         full = full + random_curv4(
             target, {"pair_symmetric", "j_minus"}, seed + 2
@@ -374,37 +367,16 @@ def _resid_pullback_curvature_pairing(rng, source, target, fiber, broken):
     return abs(lhs - rhs)
 
 
-def _hat_grid(space, grid):
-    pairs = wedge_pairs(space)
-    a = np.array([p[0] for p in pairs])
-    b = np.array([p[1] for p in pairs])
-    return grid[a[None, :], b[None, :], a[:, None], b[:, None]]
-
-
 def _resid_jplus_torsion_composition(rng, source, target, fiber, broken):
     seed = rng.integers(2**32)
     Rs = random_curv4(source, {"pair_symmetric", "bianchi_closed", "j_plus"}, seed)
     Qp = random_curv4(source, {"pair_symmetric", "j_plus"}, seed + 1)
     if broken:
         Qp = random_curv4(source, {"pair_symmetric"}, seed + 2)
-    full = Rs.entries - 0.5 * (
-        kulkarni_grid(source.omega, source.A) - kulkarni_grid(source.g, source.B)
-    )
-    lhs = _hat_grid(source, full) @ _hat_grid(source, Qp.entries)
-    rhs = _hat_grid(source, Rs.entries) @ _hat_grid(source, Qp.entries)
+    qp = hat(Qp).entries
+    lhs = hat(full_curvature(Rs)).entries @ qp
+    rhs = hat(Rs).entries @ qp
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def _unhat_grid(space, op):
-    n = space.n
-    pairs = wedge_pairs(space)
-    q = np.zeros((n, n, n, n))
-    for col, (a, b) in enumerate(pairs):
-        for row, (c, d) in enumerate(pairs):
-            q[a, b, c, d] = op[row, col]
-    q = q - np.einsum("yxzw->xyzw", q)
-    q = q - np.einsum("xywz->xyzw", q)
-    return q
 
 
 def _resid_jminus_torsion_contraction(rng, source, target, fiber, broken):
@@ -412,27 +384,20 @@ def _resid_jminus_torsion_contraction(rng, source, target, fiber, broken):
     Rs = random_curv4(source, {"pair_symmetric", "bianchi_closed", "j_plus"}, seed)
     variants = ["jminus", "tau_jminus"]
     Q = canonical_Q(source, variants[int(rng.integers(2))])
-    rs_entries = Rs.entries
     if broken:
         # pollute the J-invariant part: the composition with a J-anti-
         # invariant weight then no longer reduces to the torsion term
-        rs_entries = rs_entries + random_curv4(
-            source, {"pair_symmetric", "j_minus"}, seed + 1
-        ).entries
-    full = rs_entries - 0.5 * (
-        kulkarni_grid(source.omega, source.A) - kulkarni_grid(source.g, source.B)
-    )
-    comp = _unhat_grid(source, _hat_grid(source, full) @ _hat_grid(source, Q.entries))
-    c = ricci_grid(comp)
+        Rs = Rs + random_curv4(source, {"pair_symmetric", "j_minus"}, seed + 1)
+    hq = hat(Q)
+    comp = unhat(Endo2Forms(source, hat(full_curvature(Rs)).entries @ hq.entries))
+    c = ricci_grid(comp.entries)
     lhs = c + c.T
-    trq = _trhat(Q.entries)
+    trq = hq.trace
     rhs = 2.0 * ((trq / source.d) * source.B - ring_grid(Q.entries, source.B))
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def _resid_cm_spaceform_orthogonality(rng, source, target, fiber, broken):
-    from .invariants import space_form, torsion_curvature
-
     seed = rng.integers(2**32)
     f = float(rng.uniform(0.5, 2.0))
     m = cr_map_datum(source, target, f, seed)

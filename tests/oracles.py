@@ -54,6 +54,19 @@ def hat_trace_loops(q):
     return 0.5 * sum(q[a, b, a, b] for a in range(n) for b in range(n))
 
 
+def unhat_loops(op, n):
+    """Rebuild the 4-tensor from its wedge-basis operator grid: entry
+    (row, col) sits at slots (col pair, row pair), then antisymmetrize."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    q = np.zeros((n, n, n, n))
+    for col, (a, b) in enumerate(pairs):
+        for row, (c, d) in enumerate(pairs):
+            q[a, b, c, d] = op[row, col]
+    q = q - q.transpose(1, 0, 2, 3)
+    q = q - q.transpose(0, 1, 3, 2)
+    return q
+
+
 def conj_loops(q, P, Q_second=None):
     """Replace both slot pairs by P-conjugated arguments."""
     n = q.shape[0]

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pherm
 from pherm.cli import (
     RunConfig,
     cmd_model,
@@ -16,10 +19,13 @@ from pherm.cli import (
 
 
 def run_cli(*args):
+    # the child runs the package these tests imported, installed or not
+    path = [str(Path(pherm.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "pherm.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
 
 
@@ -145,6 +151,34 @@ def test_runconfig_validation():
         RunConfig(command="table", tolerance=0.0)
     with pytest.raises(ValueError):
         RunConfig(command="table", samples=0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--trials", "0"),
+        ("--trials", "-3"),
+        ("--tol", "inf", "--negative-control"),
+        ("--tol", "nan"),
+        ("--tol", "-inf"),
+    ],
+)
+def test_verify_rejects_vacuous_config(args):
+    # each of these would otherwise pass (or fail) every suite regardless
+    # of the residuals; they are configuration errors, not verdicts
+    res = run_cli("verify", "--dims", "2,2", *args)
+    assert res.returncode == 2
+    assert "error" in res.stderr
+    assert res.stdout == ""
+
+
+def test_model_rejects_more_than_one_seed():
+    models = [["su_pq", [2, 1]]]
+    with pytest.raises(ValueError, match="--seed"):
+        cmd_model(RunConfig(command="model", models=models, seeds=[1, 2]))
+    res = run_cli("model", "--family", "su_pq", "--params", "2,1", "--seed", "1", "--seed", "2")
+    assert res.returncode == 2
+    assert "error" in res.stderr
 
 
 def test_parser_roundtrip():

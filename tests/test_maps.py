@@ -53,6 +53,9 @@ def test_canonical_q_errors():
         canonical_Q(sp, "tau_jminus")  # needs torsion
     with pytest.raises(ValueError):
         canonical_Q(sp, "companion")  # needs a curvature argument
+    rw = model_curvature(build_model("su_pq", (2, 1)))  # d = 2
+    with pytest.raises(ValueError):
+        canonical_Q(make_space(3), "companion", rw=rw)
     with pytest.raises(ValueError):
         canonical_Q(sp, "nonsense")
     with pytest.raises(ValueError):

@@ -9,8 +9,10 @@ from pherm import (
     random_curv4,
     wedge_pairs,
 )
-from pherm.spaces import Bil2, Curv4, bianchi_grid, split_average_grid
+from pherm.spaces import Bil2, Curv4, Endo2Forms, bianchi_grid, split_average_grid
 from pherm.algebra import hat, unhat
+
+from oracles import unhat_loops
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -132,3 +134,13 @@ def test_wedge_basis_and_hat_roundtrip(d):
     q = random_curv4(sp, {"pair_symmetric"}, seed=11)
     back = unhat(hat(q), tags=q.tags)
     assert np.array_equal(back.entries, q.entries)  # exact round trip
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unhat_matches_loop_oracle(d):
+    # an arbitrary operator grid, not only one in the image of hat: the
+    # vectorised scatter must place every entry exactly where the loop does
+    sp = make_space(d)
+    m = len(wedge_pairs(sp))
+    op = np.random.default_rng(d).standard_normal((m, m))
+    assert np.array_equal(unhat(Endo2Forms(sp, op)).entries, unhat_loops(op, sp.n))
