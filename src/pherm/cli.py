@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -178,6 +178,16 @@ def cmd_model(config: RunConfig) -> dict:
     }
 
 
+def _suite_entry(name: str, trials: int, worst: float, tolerance: float) -> dict:
+    return {
+        "name": name,
+        "trials": trials,
+        "max_residual": worst,
+        "tolerance": tolerance,
+        "passed": bool(worst <= tolerance),
+    }
+
+
 def _canonical_q_suite(tolerance: float) -> dict:
     """Exactness of the canonical tensor traces and Ricci multiples."""
     worst = 0.0
@@ -191,13 +201,7 @@ def _canonical_q_suite(tolerance: float) -> dict:
             cvals = ricci_contraction(Q).entries
             worst = max(worst, float(np.max(np.abs(cvals - ref_c * space.g))))
             trials += 1
-    return {
-        "name": "canonical_q_constants",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tolerance,
-        "passed": bool(worst <= tolerance),
-    }
+    return _suite_entry("canonical_q_constants", trials, worst, tolerance)
 
 
 def _bianchi_model_suite(tolerance: float) -> dict:
@@ -209,13 +213,7 @@ def _bianchi_model_suite(tolerance: float) -> dict:
         rw, _ = torsion_curvature(space, -2.0 * d)
         worst = max(worst, first_bianchi_residual(full_curvature(rw), space))
         trials += 1
-    return {
-        "name": "torsion_model_first_bianchi",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tolerance,
-        "passed": bool(worst <= tolerance),
-    }
+    return _suite_entry("torsion_model_first_bianchi", trials, worst, tolerance)
 
 
 def cmd_verify(config: RunConfig) -> dict:
@@ -230,16 +228,10 @@ def cmd_verify(config: RunConfig) -> dict:
                 tolerance=config.tolerance,
                 negative_control=config.negative_control,
             )
-            for res in report.results:
-                suites.append(
-                    {
-                        "name": f"{res.name}[d={d},d'={dp},seed={seed}]",
-                        "trials": res.trials,
-                        "max_residual": res.max_residual,
-                        "tolerance": res.tolerance,
-                        "passed": res.passed,
-                    }
-                )
+            suites.extend(
+                {**asdict(res), "name": f"{res.name}[d={d},d'={dp},seed={seed}]"}
+                for res in report.results
+            )
     if not config.negative_control:
         suites.append(_canonical_q_suite(max(config.tolerance, 1e-12)))
         suites.append(_bianchi_model_suite(config.tolerance))
@@ -268,66 +260,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="curvature models, constants table and verification suites",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("table", "model", "verify"):
-        p = sub.add_parser(name)
+    # an undeclared flag is absent from the namespace, so its RunConfig
+    # field keeps the default; a flag a command does not read is an error
+    table, model, verify = (
+        sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for name in ("table", "model", "verify")
+    )
+    for p in (table, model):
         p.add_argument(
             "--family",
             action="append",
-            default=[],
             help=f"model family, one of {FAMILIES + OUT_OF_SCOPE_FAMILIES}",
         )
         p.add_argument(
             "--params",
             action="append",
-            default=[],
             help="comma-separated integer parameters, paired with --family in order",
         )
-        p.add_argument("--seed", action="append", type=int, default=[])
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", default=None)
-        p.add_argument("--negative-control", action="store_true")
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument(
-            "--dims",
-            action="append",
-            default=[],
-            help="source,target half-dimension pair for the verify suites",
-        )
+    for p in (model, verify):
+        p.add_argument("--seed", dest="seeds", metavar="SEED", action="append", type=int)
+    model.add_argument("--samples", type=int)
+    verify.add_argument("--tol", dest="tolerance", metavar="TOL", type=float)
+    verify.add_argument("--trials", type=int)
+    verify.add_argument(
+        "--dims",
+        action="append",
+        help="source,target half-dimension pair for the verify suites",
+    )
+    verify.add_argument("--negative-control", action="store_true")
+    for p in (table, model, verify):
+        p.add_argument("--out", dest="output_path", metavar="OUT")
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    if len(args.family) != len(args.params):
+    fields = dict(vars(args))
+    families, params = fields.pop("family", []), fields.pop("params", [])
+    if len(families) != len(params):
         raise ValueError("--family and --params must be given in matching pairs")
-    models = [[fam, list(_parse_params(par))] for fam, par in zip(args.family, args.params)]
-    dims = [tuple(_parse_params(t)) for t in args.dims] or list(DEFAULT_VERIFY_DIMS)
-    for pair in dims:
-        if len(pair) != 2:
+    fields["models"] = [[fam, list(_parse_params(par))] for fam, par in zip(families, params)]
+    if "dims" in fields:
+        fields["dims"] = [tuple(_parse_params(t)) for t in fields["dims"]]
+        if any(len(pair) != 2 for pair in fields["dims"]):
             raise ValueError("--dims expects pairs like 2,3")
-    return RunConfig(
-        command=args.command,
-        models=models,
-        seeds=args.seed or [0],
-        samples=args.samples,
-        tolerance=args.tol,
-        output_path=args.out,
-        negative_control=args.negative_control,
-        dims=dims,
-        trials=args.trials,
-    )
+    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        if config.command == "table":
-            doc = cmd_table(config)
-        elif config.command == "model":
-            doc = cmd_model(config)
-        else:
-            doc = cmd_verify(config)
+        run = {"table": cmd_table, "model": cmd_model, "verify": cmd_verify}
+        doc = run[config.command](config)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

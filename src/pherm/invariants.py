@@ -69,7 +69,7 @@ def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
         raise ValueError("the trace decomposition requires d >= 2")
 
     ric = Bil2(space, ricci_grid(rw.entries), "symmetric")
-    scalar = float(np.trace(ric.entries))
+    scalar = scalar_curvature(rw)
     rho = Bil2(space, -hat_2form_grid(rw.entries, space.omega), "antisymmetric")
     ric0 = traceless_part(ric)
     rho0 = Bil2(
@@ -116,7 +116,8 @@ def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
 
 
 def scalar_curvature(rw: Curv4) -> float:
-    return float(np.einsum("ixiy,xy->", rw.entries, rw.space.g))
+    """Trace of the Ricci contraction (the adapted frame is orthonormal)."""
+    return float(np.trace(ricci_grid(rw.entries)))
 
 
 def _c0_and_report(rw: Curv4) -> tuple[float, InvariantReport]:

@@ -12,20 +12,13 @@ R(a, b, c, e) = beta([u_a, u_b], [u_c, u_e]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .spaces import Curv4, make_space
 from .algebra import norm2
 from .invariants import scalar_curvature
-
-FAMILIES = ("heisenberg", "su_pq", "sp_p_R", "so_p_2", "so_star_2p")
-
-# families appearing in the reference table that need exceptional algebras;
-# recognised by the report layer but not constructible here
-OUT_OF_SCOPE_FAMILIES = ("e6_spin10", "e7_e6")
-
 
 class ModelError(ValueError):
     """A Lie model failed a structural invariant."""
@@ -149,56 +142,78 @@ def _heisenberg_basis(d: int):
     return z, xs + ys  # center plays the xi role
 
 
-_TABLE_D = {
-    "su_pq": lambda p, q: p * q,
-    "sp_p_R": lambda p: p * (p + 1) // 2,
-    "so_p_2": lambda p: p,
-    "so_star_2p": lambda p: p * (p - 1) // 2,
-    "heisenberg": lambda d: d,
+@dataclass(frozen=True)
+class _Family:
+    """Everything the package knows about one family.
+
+    param_names and min_param give the admissible parameters; basis builds
+    the (l, p) matrices and half_dim the horizontal half-dimension from
+    them.  constants is the closed-form (c0', kappa).  Out-of-scope rows
+    have no basis and constants that ignore the parameters.
+    """
+
+    param_names: tuple = ()
+    min_param: int = 1
+    basis: Optional[Callable] = None
+    half_dim: Optional[Callable] = None
+    constants: Optional[Callable] = None
+
+
+_FAMILY_TABLE = {
+    "heisenberg": _Family(("d",), 1, _heisenberg_basis, lambda d: d),
+    "su_pq": _Family(
+        ("p", "q"),
+        1,
+        _su_pq_basis,
+        lambda p, q: p * q,
+        lambda p, q: ((p * q + 1) / (p + q) ** 2, -1.0 / (p + q)),
+    ),
+    "sp_p_R": _Family(
+        ("p",),
+        1,
+        _sp_p_basis,
+        lambda p: p * (p + 1) // 2,
+        lambda p: (0.25 + (3 + p) / (4.0 * (p + 1) ** 2), -1.0 / (p + 1)),
+    ),
+    "so_p_2": _Family(
+        ("p",), 3, _so_p_2_basis, lambda p: p, lambda p: (3.0 / (2 * p) - 1.0 / p**2, -1.0 / p)
+    ),
+    "so_star_2p": _Family(
+        ("p",),
+        3,
+        _so_star_basis,
+        lambda p: p * (p - 1) // 2,
+        lambda p: (0.25 + (3 - p) / (4.0 * (p - 1) ** 2), -1.0 / (2 * (p - 1))),
+    ),
+    # exceptional algebras: listed in the reference table, not constructible
+    "e6_spin10": _Family(constants=lambda *_: (3.0 / 16.0, -1.0 / 12.0)),
+    "e7_e6": _Family(constants=lambda *_: (29.0 / 162.0, -1.0 / 18.0)),
 }
+
+FAMILIES = tuple(name for name, fam in _FAMILY_TABLE.items() if fam.basis)
+OUT_OF_SCOPE_FAMILIES = tuple(name for name, fam in _FAMILY_TABLE.items() if not fam.basis)
+
+
+def _family(family: str, params: tuple) -> _Family:
+    """The table record of a constructible family, after checking params."""
+    fam = _FAMILY_TABLE.get(family)
+    if fam is None or fam.basis is None:
+        raise ValueError(f"unknown family {family!r}; supported: {FAMILIES}")
+    if len(params) != len(fam.param_names) or min(params) < fam.min_param:
+        raise ValueError(f"{family} needs {', '.join(fam.param_names)} >= {fam.min_param}")
+    return fam
 
 
 def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, float]:
     """Reference closed-form values for the curvature-norm constant and the
     lowest quadratic-form eigenvalue of each family."""
     params = tuple(params)
-    if family == "su_pq":
-        p, q = params
-        return (p * q + 1) / (p + q) ** 2, -1.0 / (p + q)
-    if family == "sp_p_R":
-        (p,) = params
-        return 0.25 + (3 + p) / (4.0 * (p + 1) ** 2), -1.0 / (p + 1)
-    if family == "so_p_2":
-        (p,) = params
-        return 3.0 / (2 * p) - 1.0 / p**2, -1.0 / p
-    if family == "so_star_2p":
-        (p,) = params
-        return 0.25 + (3 - p) / (4.0 * (p - 1) ** 2), -1.0 / (2 * (p - 1))
-    if family == "e6_spin10":
-        return 3.0 / 16.0, -1.0 / 12.0
-    if family == "e7_e6":
-        return 29.0 / 162.0, -1.0 / 18.0
-    raise ValueError(f"no closed-form constants for family {family!r}")
-
-
-def _validate(family: str, params: tuple):
-    if family == "su_pq":
-        if len(params) != 2 or params[0] < 1 or params[1] < 1:
-            raise ValueError("su_pq needs p, q >= 1")
-    elif family == "sp_p_R":
-        if len(params) != 1 or params[0] < 1:
-            raise ValueError("sp_p_R needs p >= 1")
-    elif family == "so_p_2":
-        if len(params) != 1 or params[0] < 3:
-            raise ValueError("so_p_2 needs p >= 3")
-    elif family == "so_star_2p":
-        if len(params) != 1 or params[0] < 3:
-            raise ValueError("so_star_2p needs p >= 3")
-    elif family == "heisenberg":
-        if len(params) != 1 or params[0] < 1:
-            raise ValueError("heisenberg needs d >= 1")
-    else:
-        raise ValueError(f"unknown family {family!r}; supported: {FAMILIES}")
+    fam = _FAMILY_TABLE.get(family, _Family())
+    if fam.constants is None:
+        raise ValueError(f"no closed-form constants for family {family!r}")
+    if fam.basis:
+        _family(family, params)  # the parameters of a constructible family
+    return fam.constants(*params)
 
 
 def _structure_constants(mats: np.ndarray) -> np.ndarray:
@@ -218,27 +233,18 @@ def _structure_constants(mats: np.ndarray) -> np.ndarray:
 def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -> LieModel:
     """Construct a family member and verify its structural invariants."""
     params = tuple(int(x) for x in params)
-    _validate(family, params)
+    fam = _family(family, params)
     if metric_scale <= 0:
         raise ValueError("metric_scale must be positive")
 
-    if family == "heisenberg":
-        l_mats, p_mats = _heisenberg_basis(params[0])
-    elif family == "su_pq":
-        l_mats, p_mats = _su_pq_basis(*params)
-    elif family == "sp_p_R":
-        l_mats, p_mats = _sp_p_basis(*params)
-    elif family == "so_p_2":
-        l_mats, p_mats = _so_p_2_basis(*params)
-    else:
-        l_mats, p_mats = _so_star_basis(*params)
+    l_mats, p_mats = fam.basis(*params)
 
     mats = np.array(l_mats + p_mats, dtype=float)
     L, P = len(l_mats), len(p_mats)
     if P % 2:
         raise ModelError("odd horizontal dimension")
     d = P // 2
-    if d != _TABLE_D[family](*params):
+    if d != fam.half_dim(*params):
         raise ModelError("horizontal dimension disagrees with the family table")
 
     C = _structure_constants(mats)

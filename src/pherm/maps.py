@@ -13,6 +13,7 @@ residual is expected to be macroscopic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -459,6 +460,11 @@ def identity_suite(
     """
     if d < 2:
         raise ValueError("the identity suite requires source half-dimension >= 2")
+    # zero trials check nothing, and an infinite tolerance passes anything
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be positive and finite")
     source = make_space(d, with_torsion=True)
     target = make_space(d_prime, with_torsion=True)
     results = []

@@ -14,6 +14,7 @@ from pherm.cli import (
     cmd_verify,
     config_from_args,
     build_parser,
+    main,
     render_document,
 )
 
@@ -182,11 +183,63 @@ def test_model_rejects_more_than_one_seed():
 
 
 def test_parser_roundtrip():
+    # each subcommand's own flags reach RunConfig; the rest keep its defaults
+    cases = [
+        (
+            ["table", "--family", "su_pq", "--params", "2,1", "--out", "t.json"],
+            RunConfig(command="table", models=[["su_pq", [2, 1]]], output_path="t.json"),
+        ),
+        (
+            ["model", "--family", "so_p_2", "--params", "3", "--seed", "3", "--samples", "50",
+             "--out", "m.json"],
+            RunConfig(command="model", models=[["so_p_2", [3]]], seeds=[3], samples=50,
+                      output_path="m.json"),
+        ),
+        (
+            ["verify", "--seed", "1", "--seed", "2", "--tol", "1e-8", "--trials", "7",
+             "--dims", "2,3", "--negative-control", "--out", "v.json"],
+            RunConfig(command="verify", seeds=[1, 2], tolerance=1e-8, trials=7, dims=[(2, 3)],
+                      negative_control=True, output_path="v.json"),
+        ),
+    ]
     parser = build_parser()
-    args = parser.parse_args(
-        ["table", "--family", "su_pq", "--params", "2,1", "--seed", "3", "--tol", "1e-8"]
-    )
-    cfg = config_from_args(args)
-    assert cfg.models == [["su_pq", [2, 1]]]
-    assert cfg.seeds == [3]
-    assert cfg.tolerance == 1e-8
+    for argv, expected in cases:
+        assert config_from_args(parser.parse_args(argv)) == expected
+
+
+FOREIGN_FLAGS = {
+    "table": ["--seed", "--samples", "--tol", "--trials", "--dims", "--negative-control"],
+    "model": ["--tol", "--trials", "--dims", "--negative-control"],
+    "verify": ["--family", "--params", "--samples"],
+}
+FLAG_VALUES = {
+    "--seed": ["3"],
+    "--samples": ["5"],
+    "--tol": ["1e-8"],
+    "--trials": ["7"],
+    "--dims": ["2,2"],
+    "--negative-control": [],
+    "--family": ["su_pq"],
+    "--params": ["2,1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in FOREIGN_FLAGS.items() for f in flags]
+)
+def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
+    argv = [command, "--family", "su_pq", "--params", "2,1"] if command == "model" else [command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, *FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_table_out_of_scope_row_ignores_params():
+    res = run_cli("table", "--family", "e6_spin10", "--params", "1")
+    assert res.returncode == 0, res.stderr
+    row = json.loads(res.stdout)["models"][0]
+    assert row["status"] == "out_of_scope"
+    assert row["params"] == [1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pherm import (
+    FAMILIES,
     ModelError,
     build_model,
     c0_constant,
@@ -86,6 +87,31 @@ def test_param_validation():
     ]:
         with pytest.raises(ValueError):
             build_model(family, params)
+
+
+# the smallest member of each constructible family and its half-dimension
+SMALLEST_MEMBERS = {
+    "heisenberg": ((1,), 1),
+    "su_pq": ((1, 1), 1),
+    "sp_p_R": ((1,), 1),
+    "so_p_2": ((3,), 3),
+    "so_star_2p": ((3,), 3),
+}
+
+
+def test_every_family_builds_at_its_minimum_params():
+    assert set(SMALLEST_MEMBERS) == set(FAMILIES)
+    for family, (params, d) in SMALLEST_MEMBERS.items():
+        assert build_model(family, params).d == d
+
+
+def test_closed_form_constants_arguments():
+    # out-of-scope rows ignore their parameters
+    assert closed_form_constants("e6_spin10", (1,)) == (3.0 / 16.0, -1.0 / 12.0)
+    assert closed_form_constants("e7_e6", ()) == (29.0 / 162.0, -1.0 / 18.0)
+    for family, params in [("su_pq", (2,)), ("so_star_2p", (1,)), ("heisenberg", (3,)), ("mystery", ())]:
+        with pytest.raises(ValueError):
+            closed_form_constants(family, params)
 
 
 def test_heisenberg_flat():

@@ -287,6 +287,24 @@ def test_identity_suite_rejects_d1():
         identity_suite(1, 2)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"trials": 0},
+        {"trials": -3},
+        {"tolerance": float("inf")},
+        {"tolerance": float("nan")},
+        {"tolerance": 0.0},
+        {"tolerance": -1e-9},
+    ],
+)
+def test_identity_suite_rejects_vacuous_input(kw):
+    # zero trials would pass every identity unchecked, an infinite
+    # tolerance would pass any residual
+    with pytest.raises(ValueError):
+        identity_suite(2, 2, **kw)
+
+
 def test_suite_deterministic():
     a = identity_suite(2, 3, trials=5, seed=7)
     b = identity_suite(2, 3, trials=5, seed=7)
