@@ -9,11 +9,12 @@ from typing import Optional
 import numpy as np
 
 from .spaces import (
+    KAHLER_TAGS,
     Bil2,
     Curv4,
     Endo2Forms,
     HorizontalSpace,
-    SpaceMismatchError,
+    _check_same_space,
     bianchi_grid,
     dot4,
     fundamental_form,
@@ -25,16 +26,9 @@ from .spaces import (
     ricci_grid,
     split_average_grid,
     sym_product_grid,
-    torsion_forms,
     wedge_pairs,
     wedge_trace,
 )
-
-
-def _same_space(h: Bil2, k: Bil2) -> HorizontalSpace:
-    if h.space is not k.space:
-        raise SpaceMismatchError("bilinear forms live on different spaces")
-    return h.space
 
 
 def sym_product(h: Bil2, k: Bil2) -> np.ndarray:
@@ -43,7 +37,7 @@ def sym_product(h: Bil2, k: Bil2) -> np.ndarray:
     Returns the raw component grid: the result is pair-symmetric but is a
     valid curvature container only when both factors are antisymmetric.
     """
-    _same_space(h, k)
+    _check_same_space(h, k)
     return sym_product_grid(h.entries, k.entries)
 
 
@@ -54,14 +48,14 @@ def kulkarni(h: Bil2, k: Bil2) -> Curv4:
     Bianchi sum; both antisymmetric gives a pair-symmetric tensor; the mixed
     case is antisymmetric under the pair swap and carries no tags.
     """
-    space = _same_space(h, k)
+    _check_same_space(h, k)
     grid = kulkarni_grid(h.entries, k.entries)
     tags = set()
     if h.symmetry == k.symmetry and h.symmetry in ("symmetric", "antisymmetric"):
         tags.add("pair_symmetric")
         if h.symmetry == "symmetric":
             tags.add("bianchi_closed")
-    return Curv4(space, grid, frozenset(tags))
+    return Curv4(h.space, grid, frozenset(tags))
 
 
 def bianchi_map(q: Curv4) -> np.ndarray:
@@ -99,8 +93,7 @@ def scalar_product(p: Curv4, q: Curv4) -> float:
     """Half the trace of the composed wedge operators."""
     if not (p.has("pair_symmetric") and q.has("pair_symmetric")):
         raise ValueError("scalar_product requires pair-symmetric arguments")
-    if p.space is not q.space and p.space.d != q.space.d:
-        raise SpaceMismatchError("tensors live on different spaces")
+    _check_same_space(p, q)
     return 0.5 * dot4(p.entries, q.entries)
 
 
@@ -201,13 +194,12 @@ def canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
         frozenset({"pair_symmetric", "j_plus"}),
     )
     ic_grid = (gkg.entries + wkw.entries + 2.0 * wsw.entries) / 8.0
-    Ic = Curv4(space, ic_grid, frozenset({"pair_symmetric", "bianchi_closed", "j_plus"}))
+    Ic = Curv4(space, ic_grid, KAHLER_TAGS)
     # the primitive parts pick up an omega.omega component, so they leave Ker b
     Ic0 = primitive_part(Ic)
     T = T0 = None
     if space.has_torsion:
-        A, B = torsion_forms(space)
-        t_grid = (kulkarni(A, A).entries + kulkarni(B, B).entries) / 8.0
-        T = Curv4(space, t_grid, frozenset({"pair_symmetric", "bianchi_closed", "j_plus"}))
+        t_grid = (kulkarni_grid(space.A, space.A) + kulkarni_grid(space.B, space.B)) / 8.0
+        T = Curv4(space, t_grid, KAHLER_TAGS)
         T0 = primitive_part(T)
     return CanonicalTensors(gkg=gkg, wkw=wkw, wsw=wsw, Ic=Ic, Ic0=Ic0, T=T, T0=T0)

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .spaces import (
+    KAHLER_TAGS,
     Bil2,
     Curv4,
     HorizontalSpace,
@@ -46,11 +47,8 @@ class InvariantReport:
     complex_sectional_range: Optional[tuple[float, float]] = None
 
 
-_ADMISSIBLE = {"pair_symmetric", "bianchi_closed", "j_plus"}
-
-
 def _require_admissible(rw: Curv4):
-    missing = _ADMISSIBLE - set(rw.tags)
+    missing = KAHLER_TAGS - rw.tags
     if missing:
         raise ValueError(f"curvature tensor lacks required tags: {sorted(missing)}")
 
@@ -85,11 +83,7 @@ def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
         - sym_product_grid(rho0.entries, space.omega)
     ) / (d + 2)
     cm_grid = rw.entries - scalar_piece - ricci_piece
-    cm = Curv4(
-        space,
-        cm_grid,
-        frozenset({"pair_symmetric", "bianchi_closed", "j_plus", "primitive"}),
-    )
+    cm = Curv4(space, cm_grid, KAHLER_TAGS | {"primitive"})
     scale = max(1.0, float(np.max(np.abs(rw.entries))))
     if np.max(np.abs(ricci_grid(cm_grid))) > TOL * scale:
         raise ArithmeticError("Chern-Moser remainder is not trace free")
@@ -174,14 +168,10 @@ def torsion_curvature(space: HorizontalSpace, s: Optional[float] = None) -> tupl
     can = canonical_tensors(space)
     rw_grid = (s / d**2) * (can.Ic.entries + can.T.entries)
     cm_grid = (s / d**2) * (can.Ic0.entries / (d + 1) + can.T0.entries)
-    rw = Curv4(space, rw_grid, frozenset({"pair_symmetric", "bianchi_closed", "j_plus"}))
+    rw = Curv4(space, rw_grid, KAHLER_TAGS)
     # the omega.omega components of I^C_0/(d+1) and T_0 cancel, so the
     # Chern-Moser tensor of the model is Bianchi closed as well
-    cm = Curv4(
-        space,
-        cm_grid,
-        frozenset({"pair_symmetric", "bianchi_closed", "j_plus", "primitive"}),
-    )
+    cm = Curv4(space, cm_grid, KAHLER_TAGS | {"primitive"})
     return rw, cm
 
 

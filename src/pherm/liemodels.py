@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .spaces import Curv4, make_space
+from .spaces import KAHLER_TAGS, Curv4, make_space
 from .algebra import norm2
 from .invariants import scalar_curvature
 
@@ -337,15 +337,11 @@ def model_curvature(model: LieModel) -> Curv4:
     space = make_space(model.d)
     if model.flat:
         n = space.n
-        return Curv4(
-            space,
-            np.zeros((n, n, n, n)),
-            frozenset({"pair_symmetric", "bianchi_closed", "j_plus"}),
-        )
+        return Curv4(space, np.zeros((n, n, n, n)), KAHLER_TAGS)
     W = np.einsum("ai,bj,ijk->abk", model.p_frame, model.p_frame, model.structure)
     # the last slot pair is lowered with the (possibly rescaled) metric
     R = model.metric_scale * np.einsum("abk,kl,cel->abce", W, model.killing, W)
-    return Curv4(space, R, frozenset({"pair_symmetric", "bianchi_closed", "j_plus"}))
+    return Curv4(space, R, KAHLER_TAGS)
 
 
 def c0_prime(rw: Curv4) -> float:

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .spaces import (
+    KAHLER_TAGS,
     Bil2,
     Curv4,
     Endo2Forms,
@@ -348,9 +349,7 @@ def _resid_reeb_term(rng, source, target, fiber, broken, plus: bool):
 def _resid_pullback_curvature_pairing(rng, source, target, fiber, broken):
     seed = rng.integers(2**32)
     Q = random_curv4(source, {"pair_symmetric"}, seed)
-    Rt = random_curv4(
-        target, {"pair_symmetric", "bianchi_closed", "j_plus"}, seed + 1
-    )
+    Rt = random_curv4(target, KAHLER_TAGS, seed + 1)
     full = full_curvature(Rt).entries
     if broken:
         full = full + random_curv4(
@@ -370,7 +369,7 @@ def _resid_pullback_curvature_pairing(rng, source, target, fiber, broken):
 
 def _resid_jplus_torsion_composition(rng, source, target, fiber, broken):
     seed = rng.integers(2**32)
-    Rs = random_curv4(source, {"pair_symmetric", "bianchi_closed", "j_plus"}, seed)
+    Rs = random_curv4(source, KAHLER_TAGS, seed)
     Qp = random_curv4(source, {"pair_symmetric", "j_plus"}, seed + 1)
     if broken:
         Qp = random_curv4(source, {"pair_symmetric"}, seed + 2)
@@ -382,7 +381,7 @@ def _resid_jplus_torsion_composition(rng, source, target, fiber, broken):
 
 def _resid_jminus_torsion_contraction(rng, source, target, fiber, broken):
     seed = rng.integers(2**32)
-    Rs = random_curv4(source, {"pair_symmetric", "bianchi_closed", "j_plus"}, seed)
+    Rs = random_curv4(source, KAHLER_TAGS, seed)
     variants = ["jminus", "tau_jminus"]
     Q = canonical_Q(source, variants[int(rng.integers(2))])
     if broken:
@@ -420,7 +419,7 @@ def _resid_cr_structure(rng, source, target, fiber, broken):
     pg = m.dphi.T @ target.g @ m.dphi
     res = max(res, float(np.max(np.abs(pg - f * source.g))))
     pB = m.dphi.T @ target.B @ m.dphi
-    pB_plus = 0.5 * (pB + source.J.T @ pB @ source.J)
+    pB_plus, _ = two_tensor_j_split(source, pB)
     res = max(res, float(np.max(np.abs(pB_plus))))
     res = max(res, float(np.max(np.abs(target.J @ m.delta - source.d * v))))
     # the skew part of the derivative contracts to d * dphi_xi automatically

@@ -23,16 +23,6 @@ import numpy as np
 EXACT_TOL = 1e-12
 TOL = 1e-9
 
-CURV4_TAGS = (
-    "pair_symmetric",
-    "bianchi_closed",
-    "j_plus",
-    "j_minus",
-    "tau_plus",
-    "tau_minus",
-    "primitive",
-)
-
 SYMMETRIES = ("symmetric", "antisymmetric", "general")
 
 
@@ -71,9 +61,11 @@ class HorizontalSpace:
     def has_torsion(self) -> bool:
         return self.tau is not None
 
-    def require_torsion(self):
+    def require_torsion(self) -> np.ndarray:
+        """tau; raises ValueError on a space without torsion."""
         if self.tau is None:
             raise ValueError("operation requires a space with torsion")
+        return self.tau
 
     def __repr__(self):  # keep reprs short, the grids are not informative
         return f"HorizontalSpace(d={self.d}, torsion={self.has_torsion})"
@@ -193,6 +185,13 @@ def bianchi_project_grid(q: np.ndarray) -> np.ndarray:
     return q - bianchi_grid(q) / 3.0
 
 
+def kahler_bianchi_grid(q: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a pair-symmetric J-invariant tensor onto
+    Ker b: it symmetrizes R(Z_i, Zbar_j, Z_k, Zbar_l) in (i, k)."""
+    swapped = antisym_pairs_grid(np.einsum("zyxw->xyzw", q))
+    return 0.5 * q + split_average_grid(pair_sym_grid(swapped), J, +1)
+
+
 def conj_pair_grid(q: np.ndarray, P: np.ndarray, first: bool) -> np.ndarray:
     """Replace (X,Y) -> (PX, PY) in the first or second slot pair."""
     if first:
@@ -258,24 +257,32 @@ def dot4(p: np.ndarray, q: np.ndarray) -> float:
     return 0.25 * float(np.einsum("cdab,abcd->", p, q))
 
 
+# Each tag's orthogonal projector, in the order `random_curv4` applies them.
+# The entries look the grid functions up by module-global name at each call,
+# so a rebound module attribute takes effect here too.
+_PROJECTORS = {
+    "pair_symmetric": lambda space, q: pair_sym_grid(q),
+    "j_plus": lambda space, q: split_average_grid(q, space.J, +1),
+    "j_minus": lambda space, q: split_average_grid(q, space.J, -1),
+    "tau_plus": lambda space, q: split_average_grid(q, space.require_torsion(), +1),
+    "tau_minus": lambda space, q: split_average_grid(q, space.require_torsion(), -1),
+    "bianchi_closed": lambda space, q: bianchi_project_grid(q),
+    "primitive": lambda space, q: primitive_grid(space, q),
+}
+
+CURV4_TAGS = tuple(_PROJECTORS)
+
+KAHLER_TAGS = frozenset({"pair_symmetric", "bianchi_closed", "j_plus"})
+
+
 def _tag_residual(space: HorizontalSpace, q: np.ndarray, tag: str) -> float:
-    if tag == "pair_symmetric":
-        return float(np.max(np.abs(q - pair_sym_grid(q))))
     if tag == "bianchi_closed":
         return float(np.max(np.abs(bianchi_grid(q))))
-    if tag == "j_plus":
-        return float(np.max(np.abs(q - split_average_grid(q, space.J, +1))))
-    if tag == "j_minus":
-        return float(np.max(np.abs(q - split_average_grid(q, space.J, -1))))
-    if tag == "tau_plus":
-        space.require_torsion()
-        return float(np.max(np.abs(q - split_average_grid(q, space.tau, +1))))
-    if tag == "tau_minus":
-        space.require_torsion()
-        return float(np.max(np.abs(q - split_average_grid(q, space.tau, -1))))
     if tag == "primitive":
         return float(np.max(np.abs(hat_2form_grid(q, space.omega) @ space.omega.T)))
-    raise TagError(f"unknown tag {tag!r}")
+    if tag not in _PROJECTORS:
+        raise TagError(f"unknown tag {tag!r}")
+    return float(np.max(np.abs(q - _PROJECTORS[tag](space, q))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,9 +395,14 @@ _CONTRADICTORY = [
 def random_curv4(space: HorizontalSpace, tags: Iterable[str], seed) -> Curv4:
     """Deterministic random 4-tensor projected onto the requested tag set.
 
-    The requested tags are enforced by alternating the linear projectors
-    until convergence; a tag set whose subspaces intersect trivially (or
-    contradict outright) is rejected.
+    A Gaussian draw, antisymmetrized in both slot pairs, passes once through
+    the orthogonal projector of each requested tag, in `CURV4_TAGS` order;
+    with j_plus requested the Bianchi step is `kahler_bianchi_grid`.  The
+    pass is exact, i.e. it returns the orthogonal projection of the draw
+    onto the intersection of the tag subspaces, for every tag set without
+    bianchi_closed and for {pair_symmetric, bianchi_closed} with or without
+    j_plus.  At d >= 2 every other set with bianchi_closed raises TagError,
+    as does a contradictory set or one that admits only the zero tensor.
     """
     tags = frozenset(tags)
     unknown = tags - set(CURV4_TAGS)
@@ -401,29 +413,13 @@ def random_curv4(space: HorizontalSpace, tags: Iterable[str], seed) -> Curv4:
             raise TagError(f"contradictory tag set: {sorted(clash)}")
     if ("bianchi_closed" in tags or "primitive" in tags) and "pair_symmetric" not in tags:
         raise TagError("bianchi_closed/primitive projections require pair_symmetric")
-    if {"tau_plus", "tau_minus"} & tags:
-        space.require_torsion()
 
     rng = np.random.default_rng(seed)
     q = antisym_pairs_grid(rng.standard_normal((space.n,) * 4))
-    for _ in range(200):
-        prev = q
-        if "pair_symmetric" in tags:
-            q = pair_sym_grid(q)
-        if "j_plus" in tags:
-            q = split_average_grid(q, space.J, +1)
-        if "j_minus" in tags:
-            q = split_average_grid(q, space.J, -1)
-        if "tau_plus" in tags:
-            q = split_average_grid(q, space.tau, +1)
-        if "tau_minus" in tags:
-            q = split_average_grid(q, space.tau, -1)
-        if "bianchi_closed" in tags:
-            q = bianchi_project_grid(q)
-        if "primitive" in tags:
-            q = primitive_grid(space, q)
-        if np.max(np.abs(q - prev)) < 1e-15:
-            break
+    for tag, project in _PROJECTORS.items():
+        if tag in tags:
+            kahler = tag == "bianchi_closed" and "j_plus" in tags
+            q = kahler_bianchi_grid(q, space.J) if kahler else project(space, q)
     scale = float(np.max(np.abs(q)))
     if scale < 1e-10:
         raise TagError(f"tag set {sorted(tags)} admits only the zero tensor at d={space.d}")

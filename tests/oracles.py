@@ -152,3 +152,57 @@ def su11_oracle():
         ratios.append(np.sum(rs * s) / np.sum(s * s))
     kappa = min(ratios)
     return component, norm2, scalar, c0_prime, kappa
+
+
+def random_curv4_loop(d, tags, seed):
+    """The alternating-projection loop that once produced random curvature
+    tensors, on the adapted frame with torsion: the requested projectors in
+    a fixed order, for up to 200 rounds, until a round moves q by less than
+    1e-15.  Returns the result scaled to max-abs 1, or None if it vanishes."""
+    n = 2 * d
+    J = np.zeros((n, n))
+    J[d:, :d] = np.eye(d)
+    J[:d, d:] = -np.eye(d)
+    omega = J.T
+    tau = np.diag(np.concatenate([np.ones(d), -np.ones(d)]))
+
+    def sym(h, k):
+        prod = np.einsum("xy,zw->xyzw", h, k)
+        return prod + prod.transpose(2, 3, 0, 1)
+
+    def split(q, P, sign):
+        q1 = np.einsum("ax,by,abzw->xyzw", P, P, q)
+        q2 = np.einsum("cz,dw,xycd->xyzw", P, P, q)
+        q12 = np.einsum("cz,dw,xycd->xyzw", P, P, q1)
+        return 0.25 * (q + sign * q1 + sign * q2 + q12)
+
+    def bianchi(q):
+        b = q + np.einsum("zxyw->xyzw", q) + np.einsum("yzxw->xyzw", q)
+        return q - b / 3.0
+
+    def primitive(q):
+        qw = 0.5 * np.einsum("ijxy,ij->xy", q, omega)
+        lam = 0.5 * np.sum(qw * J.T)
+        return q - sym(qw, omega) / d + lam * sym(omega, omega) / (2.0 * d * d)
+
+    steps = {
+        "pair_symmetric": lambda q: 0.5 * (q + q.transpose(2, 3, 0, 1)),
+        "j_plus": lambda q: split(q, J, +1),
+        "j_minus": lambda q: split(q, J, -1),
+        "tau_plus": lambda q: split(q, tau, +1),
+        "tau_minus": lambda q: split(q, tau, -1),
+        "bianchi_closed": bianchi,
+        "primitive": primitive,
+    }
+    q = np.random.default_rng(seed).standard_normal((n,) * 4)
+    q = 0.5 * (q - q.transpose(1, 0, 2, 3))
+    q = 0.5 * (q - q.transpose(0, 1, 3, 2))
+    for _ in range(200):
+        prev = q
+        for tag, step in steps.items():
+            if tag in tags:
+                q = step(q)
+        if np.max(np.abs(q - prev)) < 1e-15:
+            break
+    scale = np.max(np.abs(q))
+    return None if scale < 1e-10 else q / scale

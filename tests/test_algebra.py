@@ -351,6 +351,21 @@ def test_space_mismatch_rejected():
         kulkarni(h, k)
 
 
+def test_space_compatibility_is_structural():
+    # equal spaces built separately combine; torsion never pairs with none
+    h, k = metric_form(make_space(2)), metric_form(make_space(2))
+    assert np.array_equal(kulkarni(h, k).entries, kulkarni(h, h).entries)
+    assert np.array_equal(sym_product(h, k), sym_product(h, h))
+    p = random_curv4(make_space(2), {"pair_symmetric"}, seed=1)
+    q = random_curv4(make_space(2), {"pair_symmetric"}, seed=2)
+    assert scalar_product(p, q) == scalar_product(q, p)
+    t = random_curv4(make_space(2, with_torsion=True), {"pair_symmetric"}, seed=2)
+    with pytest.raises(SpaceMismatchError):
+        scalar_product(p, t)
+    with pytest.raises(SpaceMismatchError):
+        kulkarni(h, metric_form(make_space(2, with_torsion=True)))
+
+
 def test_inner2_convention():
     # the half-sum convention matches the wedge-basis norm of a 2-form
     sp = make_space(2)

@@ -12,7 +12,19 @@ from pherm import (
 from pherm.spaces import Bil2, Curv4, Endo2Forms, bianchi_grid, split_average_grid
 from pherm.algebra import hat, unhat
 
-from oracles import unhat_loops
+from oracles import random_curv4_loop, unhat_loops
+
+KAHLER = {"pair_symmetric", "bianchi_closed", "j_plus"}
+
+# the tag sets that the package and its tests draw random tensors from
+CALLER_TAG_SETS = [
+    {"pair_symmetric"},
+    {"pair_symmetric", "bianchi_closed"},
+    {"pair_symmetric", "j_plus"},
+    {"pair_symmetric", "j_minus"},
+    {"pair_symmetric", "j_minus", "tau_plus"},
+    KAHLER,
+]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -105,6 +117,60 @@ def test_random_curv4_contradictory_tags():
     sp_free = make_space(2)
     with pytest.raises(ValueError):
         random_curv4(sp_free, {"tau_plus"}, seed=0)
+
+
+@pytest.mark.parametrize("tags", CALLER_TAG_SETS, ids=lambda t: "+".join(sorted(t)))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_random_curv4_matches_projection_loop(d, tags):
+    # one exact pass lands where the alternating projections converge
+    sp = make_space(d, with_torsion=True)
+    for seed in (0, 3):
+        want = random_curv4_loop(d, tags, seed)
+        if want is None:
+            with pytest.raises(TagError, match="zero tensor"):
+                random_curv4(sp, tags, seed)
+        else:
+            assert np.max(np.abs(random_curv4(sp, tags, seed).entries - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_kahler_random_curv4_is_symmetric_in_holomorphic_slots(d):
+    sp = make_space(d)
+    q = random_curv4(sp, KAHLER, seed=d).entries
+    Z = complexify(sp).Z
+    r = np.einsum("abcd,ia,jb,kc,ld->ijkl", q, Z, Z.conj(), Z, Z.conj())
+    assert np.max(np.abs(r)) > 0.1
+    # R(Z_i, Zbar_j, Z_k, Zbar_l) is symmetric in (i, k)
+    assert np.max(np.abs(r - r.transpose(2, 1, 0, 3))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"j_minus"},
+        {"tau_plus"},
+        {"tau_minus"},
+        {"primitive"},
+        {"primitive", "j_plus"},
+        {"primitive", "j_minus"},
+        {"primitive", "tau_plus"},
+        {"primitive", "tau_minus"},
+        {"j_plus", "tau_minus"},
+        {"j_plus", "tau_minus", "primitive"},
+    ],
+    ids=lambda t: "+".join(sorted(t)),
+)
+def test_random_curv4_refuses_bianchi_sets_without_exact_projection(extra):
+    sp = make_space(2, with_torsion=True)
+    with pytest.raises(TagError, match="could not be satisfied jointly"):
+        random_curv4(sp, {"pair_symmetric", "bianchi_closed"} | extra, seed=0)
+
+
+def test_curv4_tau_tag_requires_torsion():
+    sp = make_space(2)
+    q = random_curv4(sp, {"pair_symmetric"}, seed=0)
+    with pytest.raises(ValueError, match="torsion"):
+        Curv4(sp, q.entries, {"tau_plus"})
 
 
 def test_bil2_symmetry_validation():
