@@ -9,7 +9,6 @@ the bilinear identities satisfied by horizontal and CR map data.
 
 from .spaces import (
     Bil2,
-    ComplexFrame,
     Curv4,
     Endo2Forms,
     HorizontalSpace,

@@ -16,7 +16,6 @@ from .spaces import (
     HorizontalSpace,
     _check_same_space,
     bianchi_grid,
-    dot4,
     fundamental_form,
     hat_2form_grid,
     kulkarni_grid,
@@ -24,6 +23,7 @@ from .spaces import (
     primitive_grid,
     ring_grid,
     ricci_grid,
+    slot_contract,
     split_average_grid,
     sym_product_grid,
     wedge_pairs,
@@ -90,11 +90,12 @@ def unhat(e: Endo2Forms, tags=frozenset()) -> Curv4:
 
 
 def scalar_product(p: Curv4, q: Curv4) -> float:
-    """Half the trace of the composed wedge operators."""
+    """Half the trace of the composed wedge operators.  On pair-symmetric
+    arguments that is (1/8) sum p q, so norm2 is a sum of squares."""
     if not (p.has("pair_symmetric") and q.has("pair_symmetric")):
         raise ValueError("scalar_product requires pair-symmetric arguments")
     _check_same_space(p, q)
-    return 0.5 * dot4(p.entries, q.entries)
+    return 0.125 * float(np.sum(p.entries * q.entries))
 
 
 def norm2(q: Curv4) -> float:
@@ -163,7 +164,7 @@ def wedge_adjoint(gamma: Bil2) -> float:
 
 def two_tensor_j_split(space: HorizontalSpace, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J-invariant / J-anti-invariant parts of a (vector-valued) 2-tensor."""
-    js = np.einsum("ax,by,ab...->xy...", space.J, space.J, s)
+    js = slot_contract(s, space.J, space.J)
     return 0.5 * (s + js), 0.5 * (s - js)
 
 

@@ -24,6 +24,7 @@ from .spaces import (
     kulkarni_grid,
     make_space,
     ricci_grid,
+    slot_contract,
     sym_product_grid,
     TOL,
 )
@@ -211,7 +212,7 @@ def first_bianchi_residual(rh: Curv4, space: Optional[HorizontalSpace] = None) -
 
 def sectional(rw: Curv4, X: np.ndarray, Y: np.ndarray) -> float:
     """Sectional curvature of the real 2-plane spanned by X, Y."""
-    num = float(np.einsum("xyzw,x,y,z,w->", rw.entries, X, Y, X, Y))
+    num = float(slot_contract(rw.entries, X, Y, X, Y))
     g = rw.space.g
     den = float((X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2)
     if den <= 1e-14:
@@ -226,7 +227,7 @@ def holomorphic_sectional(rw: Curv4, X: np.ndarray) -> float:
 
 def complex_sectional(rw: Curv4, Z: np.ndarray, W: np.ndarray) -> float:
     """Hermitian-extension curvature of the complex plane spanned by Z, W."""
-    num = np.einsum("xyzw,x,y,z,w->", rw.entries, Z, W, Z.conj(), W.conj())
+    num = slot_contract(rw.entries, Z, W, Z.conj(), W.conj())
     nz = float(np.real(Z @ Z.conj()))
     nw = float(np.real(W @ W.conj()))
     zw = complex(Z @ W.conj())

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .spaces import KAHLER_TAGS, Curv4, make_space
+from .spaces import KAHLER_TAGS, Curv4, make_space, slot_contract
 from .algebra import norm2
 from .invariants import scalar_curvature
 
@@ -338,9 +338,9 @@ def model_curvature(model: LieModel) -> Curv4:
     if model.flat:
         n = space.n
         return Curv4(space, np.zeros((n, n, n, n)), KAHLER_TAGS)
-    W = np.einsum("ai,bj,ijk->abk", model.p_frame, model.p_frame, model.structure)
+    W = slot_contract(model.structure, model.p_frame.T, model.p_frame.T)
     # the last slot pair is lowered with the (possibly rescaled) metric
-    R = model.metric_scale * np.einsum("abk,kl,cel->abce", W, model.killing, W)
+    R = model.metric_scale * np.tensordot(W @ model.killing, W, axes=(2, 2))
     return Curv4(space, R, KAHLER_TAGS)
 
 

@@ -37,6 +37,7 @@ from .spaces import (
     random_curv4,
     ring_grid,
     ricci_grid,
+    slot_contract,
 )
 from .algebra import canonical_tensors, hat, ring_action, two_tensor_j_split, unhat
 from .invariants import companion_tensor, full_curvature, space_form, torsion_curvature
@@ -65,6 +66,9 @@ class MapDatum:
             raise ValueError(f"dphi_xi must have shape {(np_,)}")
         if self.nabla_sym.shape != (n, n, np_):
             raise ValueError(f"nabla_sym must have shape {(n, n, np_)}")
+        data = (self.f, self.dphi, self.dphi_xi, self.nabla_sym)
+        if not all(np.isfinite(a).all() for a in data):  # a NaN fails no tolerance check
+            raise ValueError("map data are not finite")
         if np.max(np.abs(self.nabla_sym - self.nabla_sym.transpose(1, 0, 2))) > TOL:
             raise ValueError("nabla_sym is not symmetric in its first two slots")
         if self.is_cr:
@@ -118,7 +122,7 @@ def cr_map_datum(
     d, dp = source.d, target.d
     if dp < d:
         raise ValueError("target half-dimension must be at least the source one")
-    if f <= 0:
+    if not f > 0:
         raise ValueError("the conformal factor must be positive")
     rng = np.random.default_rng(seed)
     zmat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -213,7 +217,7 @@ def pullback4(q: Curv4, m: MapDatum) -> Curv4:
     if q.space.n != m.target.n:
         raise ValueError("4-tensor does not live on the target space")
     D = m.dphi
-    grid = np.einsum("ax,by,cz,dw,abcd->xyzw", D, D, D, D, q.entries)
+    grid = slot_contract(q.entries, D, D, D, D)
     tags = set(q.tags) & {"pair_symmetric", "bianchi_closed"}
     if m.is_cr:
         tags |= set(q.tags) & {"j_plus", "j_minus"}
@@ -244,17 +248,17 @@ def curvature_terms(q_target: Curv4, m: MapDatum) -> MapTermReport:
     """
     pull = pullback4(q_target, m).entries
     d = m.source.d
-    Z = complexify(m.source).Z
+    Z = complexify(m.source).T
     Zc = Z.conj()
-    r20 = np.einsum("abcd,ia,jb,ic,jd->", pull, Z, Z, Zc, Zc)
-    r11 = np.einsum("abcd,ia,jb,ic,jd->", pull, Z, Zc, Zc, Z)
+    r20 = np.einsum("ijij->", slot_contract(pull, Z, Z, Zc, Zc))
+    r11 = np.einsum("ijij->", slot_contract(pull, Z, Zc, Zc, Z))
     for name, val in (("r20", r20), ("r11", r11)):
         if abs(val.imag) > TOL * max(1.0, abs(val.real)):
             raise ArithmeticError(f"{name} came out non-real")
     U = m.dphi[:, :d]
     JU = m.target.J @ U
-    hbk = float(np.einsum("abcd,ai,bi,cj,dj->", q_target.entries, U, JU, U, JU))
-    k = float(np.einsum("abcd,ai,bj,ci,dj->", q_target.entries, U, U, U, U))
+    hbk = float(np.einsum("iijj->", slot_contract(q_target.entries, U, JU, U, JU)))
+    k = float(np.einsum("ijij->", slot_contract(q_target.entries, U, U, U, U)))
 
     q_gradient, q_traces, q_curvature = {}, {}, {}
     variants = ["jminus", "jplus_primitive"]
@@ -357,9 +361,9 @@ def _resid_pullback_curvature_pairing(rng, source, target, fiber, broken):
         ).entries
     m = random_map_datum(source, target, seed + 3)
     D = m.dphi
-    pull_full = np.einsum("ax,by,cz,dw,abcd->xyzw", D, D, D, D, full)
+    pull_full = slot_contract(full, D, D, D, D)
     lhs = 0.5 * float(np.einsum("abik,abik->", Q.entries, pull_full))
-    pull_rw = np.einsum("ax,by,cz,dw,abcd->xyzw", D, D, D, D, Rt.entries)
+    pull_rw = slot_contract(Rt.entries, D, D, D, D)
     pull_B = D.T @ target.B @ D
     pull_g = D.T @ target.g @ D
     rhs = 4.0 * 0.125 * float(np.einsum("abcd,abcd->", Q.entries, pull_rw))
@@ -472,7 +476,7 @@ def identity_suite(
         for trial in range(trials):
             rng = np.random.default_rng((seed, trial, ident_index))
             resid = fn(rng, source, target, fiber_dim, negative_control, **kw)
-            worst = max(worst, float(resid))
+            worst = float(np.maximum(worst, resid))  # unlike max(), keeps a NaN
         label = name + ("_negative_control" if negative_control else "")
         results.append(
             IdentityResult(

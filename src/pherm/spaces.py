@@ -120,7 +120,9 @@ class Bil2:
             raise ValueError(f"expected shape {(n, n)}, got {self.entries.shape}")
         if self.symmetry not in SYMMETRIES:
             raise ValueError(f"unknown symmetry flag {self.symmetry!r}")
-        scale = max(1.0, float(np.max(np.abs(self.entries))))
+        scale = float(np.max(np.abs(self.entries), initial=1.0))
+        if not np.isfinite(scale):  # a NaN would fail no tolerance comparison
+            raise ValueError("entries are not finite")
         if self.symmetry == "symmetric":
             if np.max(np.abs(self.entries - self.entries.T)) > TOL * scale:
                 raise ValueError("entries are not symmetric")
@@ -192,18 +194,24 @@ def kahler_bianchi_grid(q: np.ndarray, J: np.ndarray) -> np.ndarray:
     return 0.5 * q + split_average_grid(pair_sym_grid(swapped), J, +1)
 
 
-def conj_pair_grid(q: np.ndarray, P: np.ndarray, first: bool) -> np.ndarray:
-    """Replace (X,Y) -> (PX, PY) in the first or second slot pair."""
-    if first:
-        return np.einsum("ax,by,abzw->xyzw", P, P, q)
-    return np.einsum("cz,dw,xycd->xyzw", P, P, q)
+def slot_contract(q: np.ndarray, *mats) -> np.ndarray:
+    """out[x, y, ...] = sum M0[a, x] M1[b, y] ... q[a, b, ...], contracted
+    one slot at a time by two-operand einsums.  A vector removes its slot;
+    None, and every slot past len(mats), is left unchanged."""
+    out = q
+    for m in mats + (None,) * (q.ndim - len(mats)):  # take slot 0, append its image
+        if m is None:
+            out = np.moveaxis(out, 0, -1)
+        else:
+            out = np.einsum("a...,a->..." if m.ndim == 1 else "a...,ax->...x", out, m)
+    return out
 
 
 def split_average_grid(q: np.ndarray, P: np.ndarray, sign: int) -> np.ndarray:
     """The +/- projection averaging P-conjugation over both slot pairs."""
-    q1 = conj_pair_grid(q, P, first=True)
-    q2 = conj_pair_grid(q, P, first=False)
-    q12 = conj_pair_grid(q1, P, first=False)
+    q1 = slot_contract(q, P, P)
+    q2 = slot_contract(q, None, None, P, P)
+    q12 = slot_contract(q1, None, None, P, P)
     return 0.25 * (q + sign * q1 + sign * q2 + q12)
 
 
@@ -297,10 +305,13 @@ class Curv4:
         n = self.space.n
         if self.entries.shape != (n, n, n, n):
             raise ValueError(f"expected shape {(n,) * 4}, got {self.entries.shape}")
-        unknown = set(self.tags) - set(CURV4_TAGS)
+        object.__setattr__(self, "tags", frozenset(self.tags))  # no tags added after the check
+        unknown = self.tags - set(CURV4_TAGS)
         if unknown:
             raise TagError(f"unknown tags {sorted(unknown)}")
-        scale = max(1.0, float(np.max(np.abs(self.entries))))
+        scale = float(np.max(np.abs(self.entries), initial=1.0))
+        if not np.isfinite(scale):  # a NaN would fail no tolerance comparison
+            raise ValueError("entries are not finite")
         if np.max(np.abs(self.entries - antisym_pairs_grid(self.entries))) > TOL * scale:
             raise ValueError("entries are not antisymmetric in both slot pairs")
         for tag in self.tags:
@@ -350,23 +361,10 @@ class Endo2Forms:
         return float(np.trace(self.entries))
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexFrame:
-    """Type (1,0) frame Z_i = (e_i - sqrt(-1) Je_i)/sqrt(2)."""
-
-    space: HorizontalSpace
-    Z: np.ndarray  # (d, 2d) complex
-
-    def __post_init__(self):
-        d, n = self.space.d, self.space.n
-        if self.Z.shape != (d, n):
-            raise ValueError(f"expected shape {(d, n)}, got {self.Z.shape}")
-
-
-def complexify(space: HorizontalSpace) -> ComplexFrame:
+def complexify(space: HorizontalSpace) -> np.ndarray:
+    """Type (1,0) frame Z_i = (e_i - sqrt(-1) Je_i)/sqrt(2), one per row."""
     d, n = space.d, space.n
-    Z = (np.eye(d, n) - 1j * space.J[:, :d].T) / np.sqrt(2.0)
-    return ComplexFrame(space, Z)
+    return (np.eye(d, n) - 1j * space.J[:, :d].T) / np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------

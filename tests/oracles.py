@@ -206,3 +206,62 @@ def random_curv4_loop(d, tags, seed):
             break
     scale = np.max(np.abs(q))
     return None if scale < 1e-10 else q / scale
+
+
+# The multi-operand einsum strings that the package once evaluated in one
+# call each; the package now contracts one slot at a time.  The adapted
+# frame is orthonormal, so the metric is the identity throughout.
+
+def pullback4_einsum(q, D):
+    return np.einsum("ax,by,cz,dw,abcd->xyzw", D, D, D, D, q)
+
+
+def split_average_einsum(q, P, sign):
+    q1 = np.einsum("ax,by,abzw->xyzw", P, P, q)
+    q2 = np.einsum("cz,dw,xycd->xyzw", P, P, q)
+    q12 = np.einsum("cz,dw,xycd->xyzw", P, P, q1)
+    return 0.25 * (q + sign * q1 + sign * q2 + q12)
+
+
+def two_tensor_j_split_einsum(J, s):
+    js = np.einsum("ax,by,ab...->xy...", J, J, s)
+    return 0.5 * (s + js), 0.5 * (s - js)
+
+
+def sectional_einsum(q, X, Y):
+    num = np.einsum("xyzw,x,y,z,w->", q, X, Y, X, Y)
+    return num / ((X @ X) * (Y @ Y) - (X @ Y) ** 2)
+
+
+def complex_sectional_einsum(q, Z, W):
+    num = np.einsum("xyzw,x,y,z,w->", q, Z, W, Z.conj(), W.conj())
+    den = np.real(Z @ Z.conj()) * np.real(W @ W.conj()) - abs(Z @ W.conj()) ** 2
+    return num.real / den
+
+
+def model_curvature_einsum(p_frame, structure, killing, metric_scale):
+    W = np.einsum("ai,bj,ijk->abk", p_frame, p_frame, structure)
+    return metric_scale * np.einsum("abk,kl,cel->abce", W, killing, W)
+
+
+def curvature_terms_einsum(q, D, J_target):
+    """(r20, r11, hbk, k) of a target tensor q along the differential D."""
+    d = D.shape[1] // 2
+    Z = np.zeros((d, 2 * d), dtype=complex)  # Z_i = (e_i - sqrt(-1) Je_i)/sqrt(2)
+    Z[:, :d] = np.eye(d) / np.sqrt(2.0)
+    Z[:, d:] = -1j * np.eye(d) / np.sqrt(2.0)
+    Zc = Z.conj()
+    pull = pullback4_einsum(q, D)
+    r20 = np.einsum("abcd,ia,jb,ic,jd->", pull, Z, Z, Zc, Zc).real
+    r11 = np.einsum("abcd,ia,jb,ic,jd->", pull, Z, Zc, Zc, Z).real
+    U = D[:, :d]
+    JU = J_target @ U
+    hbk = np.einsum("abcd,ai,bi,cj,dj->", q, U, JU, U, JU)
+    k = np.einsum("abcd,ai,bj,ci,dj->", q, U, U, U, U)
+    return r20, r11, hbk, k
+
+
+def rel_err(a, b):
+    """Max-abs difference relative to max(1, max |b|)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))

@@ -11,6 +11,7 @@ from pherm import (
     kulkarni,
     make_space,
     metric_form,
+    norm2,
     primitive_part,
     random_bil2,
     random_curv4,
@@ -23,15 +24,18 @@ from pherm import (
     traceless_part,
     wedge_adjoint,
 )
-from pherm.spaces import Bil2, Curv4, SpaceMismatchError, inner2
+from pherm.algebra import two_tensor_j_split
+from pherm.spaces import Bil2, Curv4, SpaceMismatchError, antisym_pairs_grid, inner2
 
 from oracles import (
     bianchi_loops,
     hat_trace_loops,
     kulkarni_loops,
+    rel_err,
     ricci_loops,
     split_plus_loops,
     sym_product_loops,
+    two_tensor_j_split_einsum,
 )
 
 
@@ -371,3 +375,27 @@ def test_inner2_convention():
     sp = make_space(2)
     w = fundamental_form(sp)
     assert inner2(w.entries, w.entries) == pytest.approx(2.0, abs=1e-14)  # d=2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_two_tensor_j_split_matches_einsum_oracle(d):
+    sp = make_space(d)
+    rng = np.random.default_rng(d)
+    for shape in ((sp.n, sp.n), (sp.n, sp.n, 3)):
+        s = rng.standard_normal(shape)
+        for got, want in zip(two_tensor_j_split(sp, s), two_tensor_j_split_einsum(sp.J, s)):
+            assert got.shape == shape
+            assert rel_err(got, want) <= 1e-12
+
+
+def test_norm2_is_never_negative():
+    # a tiny pair-antisymmetric grid passes the pair_symmetric check within
+    # tolerance, but its pairing with itself is negative
+    sp = make_space(2)
+    a = antisym_pairs_grid(np.random.default_rng(0).standard_normal((4,) * 4))
+    a = a - a.transpose(2, 3, 0, 1)
+    q = Curv4(sp, 1e-10 * a, {"pair_symmetric"})
+    assert norm2(q) > 0.0
+    assert norm2(q) == pytest.approx(0.125 * np.sum(q.entries**2), rel=1e-12)
+    with pytest.raises(ValueError):
+        norm2(Curv4(sp, a))  # no pair_symmetric tag

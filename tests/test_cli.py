@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pherm
+from pherm import cli, maps
 from pherm.cli import (
     RunConfig,
     cmd_model,
@@ -243,3 +245,17 @@ def test_table_out_of_scope_row_ignores_params():
     row = json.loads(res.stdout)["models"][0]
     assert row["status"] == "out_of_scope"
     assert row["params"] == [1]
+
+
+def test_verify_nan_residual_fails(monkeypatch, capsys):
+    nan = float("nan")
+    monkeypatch.setattr(maps, "_IDENTITIES", (("nan_identity", lambda *a: nan, {}),))
+    bianchi = iter([nan, 0.0])  # the NaN is not the last trial
+    monkeypatch.setattr(cli, "first_bianchi_residual", lambda *a: next(bianchi))
+    assert main(["verify", "--trials", "2", "--dims", "2,2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    by_name = {s["name"].split("[")[0]: s for s in doc["suites"]}
+    for name in ("nan_identity", "torsion_model_first_bianchi"):
+        assert math.isnan(by_name[name]["max_residual"])
+        assert by_name[name]["passed"] is False
+    assert by_name["canonical_q_constants"]["passed"] is True

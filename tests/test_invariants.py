@@ -21,7 +21,9 @@ from pherm import (
     torsion_curvature,
 )
 from pherm.invariants import torsion_minus_part
-from pherm.spaces import Curv4, kulkarni_grid
+from pherm.spaces import KAHLER_TAGS, Curv4, kulkarni_grid
+
+from oracles import complex_sectional_einsum, rel_err, sectional_einsum
 
 
 def _starred_wedge(u, v):
@@ -225,3 +227,16 @@ def test_invariants_report_carries_ranges():
     assert rep.sectional_range is not None
     assert rep.complex_sectional_range is not None
     assert rep.holomorphic_range[0] == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sectional_curvatures_match_einsum_oracle(d):
+    sp = make_space(d)
+    q = random_curv4(sp, KAHLER_TAGS, seed=d)
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        X, Y = rng.standard_normal((2, sp.n))
+        Z, W = rng.standard_normal((2, sp.n)) + 1j * rng.standard_normal((2, sp.n))
+        assert rel_err(sectional(q, X, Y), sectional_einsum(q.entries, X, Y)) <= 1e-12
+        want = complex_sectional_einsum(q.entries, Z, W)
+        assert rel_err(complex_sectional(q, Z, W), want) <= 1e-12

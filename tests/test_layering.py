@@ -49,3 +49,19 @@ def test_module_imports_only_lower_layers(module):
     imported = package_imports(SRC / f"{module}.py") - {module}
     upward = sorted(m for m in imported if LAYERS[m] >= LAYERS[module])
     assert upward == [], f"{module} imports from its own or a later layer: {upward}"
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_einsum_calls_have_at_most_two_operands(module):
+    # multi-operand contractions go through spaces.slot_contract, one slot
+    # at a time, so no unoptimised einsum multiplies all the index ranges
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    wide = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "einsum"
+        and (len(node.args) > 3 or any(isinstance(a, ast.Starred) for a in node.args))
+    ]
+    assert wide == [], f"{module}: einsum with more than two operands at lines {wide}"

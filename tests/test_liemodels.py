@@ -21,7 +21,7 @@ from pherm import (
     space_form,
 )
 
-from oracles import su11_oracle
+from oracles import model_curvature_einsum, rel_err, su11_oracle
 
 # frozen hand values for the signature (1,1) bracket computation
 SU11_COMPONENT = -0.5
@@ -251,3 +251,15 @@ def test_nonpositive_sectional_sampling():
     ranges = sample_curvatures(rw, n=200, seed=3)
     assert ranges["sectional"][1] <= 1e-10
     assert ranges["complex_sectional"][1] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("su_pq", (1, 1)), ("su_pq", (2, 1)), ("sp_p_R", (2,)), ("su_pq", (2, 2)), ("so_p_2", (4,))],
+)
+def test_model_curvature_matches_einsum_oracle(family, params):
+    # half-dimensions 1, 2, 3, 4, 4
+    for scale in (1.0, 2.5):
+        m = build_model(family, params, metric_scale=scale)
+        want = model_curvature_einsum(m.p_frame, m.structure, m.killing, m.metric_scale)
+        assert rel_err(model_curvature(m).entries, want) <= 1e-12

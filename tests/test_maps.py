@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -16,14 +19,18 @@ from pherm import (
     metric_form,
     pullback2,
     pullback4,
+    random_curv4,
     random_map_datum,
     ricci_contraction,
     ring_action,
     scalar_product,
     space_form,
 )
+from pherm import maps
 from pherm.maps import canonical_q_reference
-from pherm.spaces import inner2
+from pherm.spaces import KAHLER_TAGS, inner2
+
+from oracles import curvature_terms_einsum, pullback4_einsum, rel_err
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -309,3 +316,42 @@ def test_suite_deterministic():
     a = identity_suite(2, 3, trials=5, seed=7)
     b = identity_suite(2, 3, trials=5, seed=7)
     assert a == b
+
+
+@pytest.mark.parametrize("d, dp", [(1, 2), (2, 2), (3, 4), (4, 4)])
+def test_pullback4_matches_einsum_oracle(d, dp):
+    q = random_curv4(make_space(dp), {"pair_symmetric"}, seed=d)
+    m = random_map_datum(make_space(d), make_space(dp), seed=dp)
+    assert rel_err(pullback4(q, m).entries, pullback4_einsum(q.entries, m.dphi)) <= 1e-12
+
+
+# d = 1 has no primitive weight tensor, so curvature_terms needs d >= 2
+@pytest.mark.parametrize("d, dp", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_curvature_terms_match_einsum_oracle(d, dp):
+    src, tgt = make_space(d, with_torsion=True), make_space(dp, with_torsion=True)
+    q = random_curv4(tgt, KAHLER_TAGS, seed=d)
+    for m in (random_map_datum(src, tgt, seed=1), cr_map_datum(src, tgt, 1.5, seed=2)):
+        rep = curvature_terms(q, m)
+        want = curvature_terms_einsum(q.entries, m.dphi, tgt.J)
+        for got, ref in zip((rep.r20, rep.r11, rep.hbk, rep.k), want):
+            assert rel_err(got, ref) <= 1e-12
+
+
+def test_map_data_reject_non_finite_values():
+    good = random_map_datum(make_space(2), make_space(3), seed=0)
+    for name in ("f", "dphi", "dphi_xi", "nabla_sym"):
+        bad = np.full_like(np.asarray(getattr(good, name), dtype=float), np.nan)
+        with pytest.raises(ValueError, match="not finite"):
+            dataclasses.replace(good, **{name: bad})
+    # a NaN conformal factor used to give an all-NaN datum that passed is_cr
+    for f in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            cr_map_datum(make_space(2), make_space(3), f, seed=0)
+
+
+def test_identity_suite_nan_residual_fails(monkeypatch):
+    resids = iter([0.0, float("nan"), 0.0])  # the NaN is not the last trial
+    monkeypatch.setattr(maps, "_IDENTITIES", (("nan_identity", lambda *a: next(resids), {}),))
+    (res,) = identity_suite(2, 2, trials=3).results
+    assert math.isnan(res.max_residual)
+    assert not res.passed

@@ -9,10 +9,17 @@ from pherm import (
     random_curv4,
     wedge_pairs,
 )
-from pherm.spaces import Bil2, Curv4, Endo2Forms, bianchi_grid, split_average_grid
+from pherm.spaces import (
+    Bil2,
+    Curv4,
+    Endo2Forms,
+    bianchi_grid,
+    slot_contract,
+    split_average_grid,
+)
 from pherm.algebra import hat, unhat
 
-from oracles import random_curv4_loop, unhat_loops
+from oracles import random_curv4_loop, rel_err, split_average_einsum, unhat_loops
 
 KAHLER = {"pair_symmetric", "bianchi_closed", "j_plus"}
 
@@ -66,7 +73,7 @@ def test_invalid_dimension_rejected():
 def test_complex_frame_orthonormality():
     for d in (1, 2, 3):
         sp = make_space(d)
-        Z = complexify(sp).Z
+        Z = complexify(sp)
         herm = Z @ Z.conj().T
         assert np.max(np.abs(herm - np.eye(d))) < 1e-12
         # unbarred vectors are isotropic for the bilinear pairing
@@ -137,7 +144,7 @@ def test_random_curv4_matches_projection_loop(d, tags):
 def test_kahler_random_curv4_is_symmetric_in_holomorphic_slots(d):
     sp = make_space(d)
     q = random_curv4(sp, KAHLER, seed=d).entries
-    Z = complexify(sp).Z
+    Z = complexify(sp)
     r = np.einsum("abcd,ia,jb,kc,ld->ijkl", q, Z, Z.conj(), Z, Z.conj())
     assert np.max(np.abs(r)) > 0.1
     # R(Z_i, Zbar_j, Z_k, Zbar_l) is symmetric in (i, k)
@@ -210,3 +217,50 @@ def test_unhat_matches_loop_oracle(d):
     m = len(wedge_pairs(sp))
     op = np.random.default_rng(d).standard_normal((m, m))
     assert np.array_equal(unhat(Endo2Forms(sp, op)).entries, unhat_loops(op, sp.n))
+
+
+def test_slot_contract_matches_einsum_with_vector_and_none_slots():
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal((4, 5, 6, 7))
+    M = rng.standard_normal((5, 3))
+    N = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    u, v = rng.standard_normal(4), rng.standard_normal(6)
+    assert np.array_equal(slot_contract(q), q)
+    cases = [
+        (slot_contract(q, None, M), np.einsum("abcd,bx->axcd", q, M)),
+        (slot_contract(q, u, None, v), np.einsum("abcd,a,c->bd", q, u, v)),
+        (slot_contract(q, None, None, None, N), np.einsum("abcd,dx->abcx", q, N)),
+        (slot_contract(q, u, M, v, N), np.einsum("abcd,a,by,c,dw->yw", q, u, M, v, N)),
+        (slot_contract(q, u, M, v, N[:, 0]), np.einsum("abcd,a,by,c,d->y", q, u, M, v, N[:, 0])),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_split_average_grid_matches_einsum_oracle(d):
+    sp = make_space(d, with_torsion=True)
+    q = random_curv4(sp, {"pair_symmetric"}, seed=d).entries
+    for P in (sp.J, sp.tau, np.random.default_rng(d).standard_normal((sp.n, sp.n))):
+        for sign in (+1, -1):
+            want = split_average_einsum(q, P, sign)
+            assert rel_err(split_average_grid(q, P, sign), want) <= 1e-12
+
+
+def test_containers_reject_non_finite_entries():
+    sp = make_space(2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            Curv4(sp, np.full((4,) * 4, bad), KAHLER)
+        with pytest.raises(ValueError, match="not finite"):
+            Bil2(sp, np.full((4, 4), bad), "symmetric")
+
+
+def test_curv4_tags_are_frozen():
+    sp = make_space(2)
+    c = Curv4(sp, random_curv4(sp, {"pair_symmetric"}, seed=0).entries, {"pair_symmetric"})
+    assert isinstance(c.tags, frozenset)
+    with pytest.raises(AttributeError):
+        c.tags.add("j_plus")
+    assert c.tags == {"pair_symmetric"}
