@@ -16,6 +16,7 @@ from .spaces import (
     HorizontalSpace,
     _check_same_space,
     bianchi_grid,
+    dot4,
     fundamental_form,
     hat_2form_grid,
     kulkarni_grid,
@@ -90,12 +91,11 @@ def unhat(e: Endo2Forms, tags=frozenset()) -> Curv4:
 
 
 def scalar_product(p: Curv4, q: Curv4) -> float:
-    """Half the trace of the composed wedge operators.  On pair-symmetric
-    arguments that is (1/8) sum p q, so norm2 is a sum of squares."""
+    """Half the trace of the composed wedge operators."""
     if not (p.has("pair_symmetric") and q.has("pair_symmetric")):
         raise ValueError("scalar_product requires pair-symmetric arguments")
     _check_same_space(p, q)
-    return 0.125 * float(np.sum(p.entries * q.entries))
+    return 0.5 * dot4(p.entries, q.entries)
 
 
 def norm2(q: Curv4) -> float:

@@ -340,7 +340,8 @@ def model_curvature(model: LieModel) -> Curv4:
         return Curv4(space, np.zeros((n, n, n, n)), KAHLER_TAGS)
     W = slot_contract(model.structure, model.p_frame.T, model.p_frame.T)
     # the last slot pair is lowered with the (possibly rescaled) metric
-    R = model.metric_scale * np.tensordot(W @ model.killing, W, axes=(2, 2))
+    WK = slot_contract(W, None, None, model.killing)
+    R = model.metric_scale * np.einsum("abl,cel->abce", WK, W)
     return Curv4(space, R, KAHLER_TAGS)
 
 

@@ -13,6 +13,7 @@ trace of the composed induced operators on wedge 2-vectors.
 """
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -199,11 +200,10 @@ def slot_contract(q: np.ndarray, *mats) -> np.ndarray:
     one slot at a time by two-operand einsums.  A vector removes its slot;
     None, and every slot past len(mats), is left unchanged."""
     out = q
-    for m in mats + (None,) * (q.ndim - len(mats)):  # take slot 0, append its image
-        if m is None:
-            out = np.moveaxis(out, 0, -1)
-        else:
-            out = np.einsum("a...,a->..." if m.ndim == 1 else "a...,ax->...x", out, m)
+    for i, m in reversed(list(enumerate(mats))):  # last slot first, so slot i is still slot i
+        if m is not None:
+            lead, image = string.ascii_lowercase[:i], "Y" * (m.ndim - 1)  # a vector has no image
+            out = np.einsum(f"{lead}X...,X{image}->{lead}{image}...", out, m)
     return out
 
 
@@ -261,8 +261,9 @@ def inner2(s: np.ndarray, t: np.ndarray) -> float:
 
 
 def dot4(p: np.ndarray, q: np.ndarray) -> float:
-    """Trace of the composition of the induced wedge operators."""
-    return 0.25 * float(np.einsum("cdab,abcd->", p, q))
+    """(1/4) sum p q: the trace of the composed wedge operators when p or q
+    is pair-symmetric, and a sum of squares (never negative) when q = p."""
+    return 0.25 * float(np.einsum("abcd,abcd->", p, q))
 
 
 # Each tag's orthogonal projector, in the order `random_curv4` applies them.

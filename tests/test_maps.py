@@ -355,3 +355,11 @@ def test_identity_suite_nan_residual_fails(monkeypatch):
     (res,) = identity_suite(2, 2, trials=3).results
     assert math.isnan(res.max_residual)
     assert not res.passed
+
+
+def test_cr_structure_residual_keeps_a_nan(monkeypatch):
+    # a NaN in one of its terms, not the first, must reach the residual
+    monkeypatch.setattr(maps, "two_tensor_j_split", lambda space, s: (np.full_like(s, np.nan), s))
+    source, target = make_space(2, with_torsion=True), make_space(3, with_torsion=True)
+    resid = maps._resid_cr_structure(np.random.default_rng(0), source, target, 1, False)
+    assert math.isnan(resid)
