@@ -264,6 +264,8 @@ def curvature_terms(q_target: Curv4, m: MapDatum) -> MapTermReport:
     variants = ["jminus", "jplus_primitive"]
     if m.source.has_torsion:
         variants += ["tau_jminus", "tau_jplus_primitive"]
+    if d < 2:  # canonical_Q has no primitive weight at d = 1
+        variants = [v for v in variants if not v.endswith("primitive")]
     delta = m.delta
     m0 = m.nabla_sym + np.einsum("xy,k->xyk", m.source.g, delta) / d
     for variant in variants:

@@ -239,6 +239,46 @@ def complex_sectional_einsum(q, Z, W):
     return num.real / den
 
 
+def sample_curvatures_loop(q, J, n, seed):
+    """The (min, max) ranges of n sectional, holomorphic (X, JX) and complex
+    sectional planes, drawn one plane at a time from default_rng(seed) in
+    that order.  A plane whose Gram determinant is <= 1e-14 is dropped and
+    the next draw replaces it."""
+    rng = np.random.default_rng(seed)
+    dim = q.shape[0]
+
+    def sectional_plane():
+        X = rng.standard_normal(dim)
+        Y = rng.standard_normal(dim)
+        return X, Y, sectional_einsum
+
+    def holomorphic_plane():
+        X = rng.standard_normal(dim)
+        return X, J @ X, sectional_einsum
+
+    def complex_plane():
+        Z = rng.standard_normal(dim)
+        Z = Z + 1j * rng.standard_normal(dim)
+        W = rng.standard_normal(dim)
+        W = W + 1j * rng.standard_normal(dim)
+        return Z, W, complex_sectional_einsum
+
+    out = {}
+    for name, draw in (
+        ("sectional", sectional_plane),
+        ("holomorphic", holomorphic_plane),
+        ("complex_sectional", complex_plane),
+    ):
+        vals = []
+        while len(vals) < n:
+            X, Y, value = draw()
+            gram = np.real(X @ X.conj()) * np.real(Y @ Y.conj()) - abs(X @ Y.conj()) ** 2
+            if gram > 1e-14:
+                vals.append(value(q, X, Y))
+        out[name] = (min(vals), max(vals))
+    return out
+
+
 def model_curvature_einsum(p_frame, structure, killing, metric_scale):
     W = np.einsum("ai,bj,ijk->abk", p_frame, p_frame, structure)
     return metric_scale * np.einsum("abk,kl,cel->abce", W, killing, W)

@@ -21,9 +21,9 @@ from pherm import (
     torsion_curvature,
 )
 from pherm.invariants import torsion_minus_part
-from pherm.spaces import KAHLER_TAGS, Curv4, kulkarni_grid
+from pherm.spaces import KAHLER_TAGS, Curv4, antisym_pairs_grid, kulkarni_grid
 
-from oracles import complex_sectional_einsum, rel_err, sectional_einsum
+from oracles import complex_sectional_einsum, rel_err, sample_curvatures_loop, sectional_einsum
 
 
 def _starred_wedge(u, v):
@@ -240,3 +240,78 @@ def test_sectional_curvatures_match_einsum_oracle(d):
         assert rel_err(sectional(q, X, Y), sectional_einsum(q.entries, X, Y)) <= 1e-12
         want = complex_sectional_einsum(q.entries, Z, W)
         assert rel_err(complex_sectional(q, Z, W), want) <= 1e-12
+
+
+def _assert_ranges_match(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert rel_err(got[name], want[name]) <= 1e-12, name
+
+
+# sample_curvatures draws its planes in blocks of 64; n = 63, 64, 65 and 200
+# cover a short block, one full block, a one-plane tail and several blocks
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("torsion", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sample_curvatures_match_loop_oracle(d, torsion, n):
+    sp = make_space(d, with_torsion=torsion)
+    q = random_curv4(sp, KAHLER_TAGS, seed=d)
+    _assert_ranges_match(sample_curvatures(q, n=n, seed=n), sample_curvatures_loop(q.entries, sp.J, n, n))
+
+
+class _FlatStream:
+    """A generator stand-in that serves one fixed flat stream, whatever
+    shape each call asks for."""
+
+    def __init__(self, stream):
+        self.stream, self.used = stream, 0
+
+    def standard_normal(self, size):
+        k = int(np.prod(size))
+        assert self.used + k <= self.stream.size, "stream exhausted"
+        out = self.stream[self.used : self.used + k].copy()
+        self.used += k
+        return out.reshape(size)
+
+
+def test_sample_curvatures_redraw_degenerate_planes(monkeypatch):
+    d, n = 2, 70
+    dim = 2 * d
+    sp = make_space(d)
+    q = random_curv4(sp, KAHLER_TAGS, seed=5)
+    stream = np.random.default_rng(11).standard_normal(4000)
+    # per kind: numbers per plane, the degenerate planes (counted over every
+    # plane drawn for that kind) and the slice of a plane set to zero
+    kinds = (
+        (2 * dim, [3, 66, 71], slice(0, dim)),  # X of a sectional plane
+        (dim, [10, 65], slice(0, dim)),  # X of a holomorphic plane
+        (4 * dim, [0, 64, 70], slice(2 * dim, 4 * dim)),  # W of a complex plane
+    )
+    start = 0
+    for width, bad, part in kinds:
+        for i in bad:
+            stream[start + i * width :][part] = 0.0
+        start += (n + len(bad)) * width
+    streams = []
+
+    def flat_rng(seed=None):
+        streams.append(_FlatStream(stream))
+        return streams[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", flat_rng)
+    got = sample_curvatures(q, n=n, seed=0)
+    want = sample_curvatures_loop(q.entries, sp.J, n, 0)
+    _assert_ranges_match(got, want)
+    # both consumed every degenerate plane and its replacement, nothing more
+    assert [s.used for s in streams] == [start, start]
+
+
+def test_non_pair_symmetric_tensor_has_no_real_complex_sectional():
+    sp = make_space(2)
+    rng = np.random.default_rng(0)
+    q = Curv4(sp, antisym_pairs_grid(rng.standard_normal((sp.n,) * 4)))
+    Z, W = rng.standard_normal((2, sp.n)) + 1j * rng.standard_normal((2, sp.n))
+    with pytest.raises(ArithmeticError, match="not real"):
+        complex_sectional(q, Z, W)
+    with pytest.raises(ArithmeticError, match="not real"):
+        sample_curvatures(q, n=10, seed=0)

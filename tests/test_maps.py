@@ -325,8 +325,7 @@ def test_pullback4_matches_einsum_oracle(d, dp):
     assert rel_err(pullback4(q, m).entries, pullback4_einsum(q.entries, m.dphi)) <= 1e-12
 
 
-# d = 1 has no primitive weight tensor, so curvature_terms needs d >= 2
-@pytest.mark.parametrize("d, dp", [(2, 2), (2, 3), (3, 3), (4, 4)])
+@pytest.mark.parametrize("d, dp", [(1, 2), (2, 2), (2, 3), (3, 3), (4, 4)])
 def test_curvature_terms_match_einsum_oracle(d, dp):
     src, tgt = make_space(d, with_torsion=True), make_space(dp, with_torsion=True)
     q = random_curv4(tgt, KAHLER_TAGS, seed=d)
