@@ -220,11 +220,12 @@ def _structure_constants(mats: np.ndarray) -> np.ndarray:
     N = mats.shape[0]
     flat = mats.reshape(N, -1).T  # (m^2, N)
     pinv = np.linalg.pinv(flat)
-    brackets = np.einsum("iab,jbc->ijac", mats, mats)
+    # each dense contraction is one pair: optimize=True hands it to BLAS
+    brackets = np.einsum("iab,jbc->ijac", mats, mats, optimize=True)
     brackets = brackets - np.einsum("jiac->ijac", brackets)
-    C = np.einsum("ka,ija->ijk", pinv, brackets.reshape(N, N, -1))
+    C = np.einsum("ka,ija->ijk", pinv, brackets.reshape(N, N, -1), optimize=True)
     # basis entries are small integers; the expansion must be essentially exact
-    recon = np.einsum("ijk,kab->ijab", C, mats)
+    recon = np.einsum("ijk,kab->ijab", C, mats, optimize=True)
     if np.max(np.abs(recon - brackets.reshape(N, N, *mats.shape[1:]))) > 1e-9:
         raise ModelError("brackets do not close on the chosen basis")
     return C
@@ -249,7 +250,7 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
 
     C = _structure_constants(mats)
     ads = np.einsum("ijk->ikj", C)  # ad_i as a matrix acting on coordinates
-    K = np.einsum("iab,jba->ij", ads, ads)
+    K = np.einsum("iab,jba->ij", ads, ads, optimize=True)
 
     if family == "heisenberg":
         frame = np.zeros((2 * d, L + P))
@@ -280,8 +281,8 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
 
     # center of l: coefficients z with [z, l] = 0
     sysmat = C[np.ix_(li, li)].reshape(L, -1).T  # rows (j, k), cols i
-    _, sv, vt = np.linalg.svd(sysmat)
-    sv = np.concatenate([sv, np.zeros(L - len(sv))]) if len(sv) < L else sv
+    # thin SVD: sysmat has L^2 >= L rows, so sv holds all L singular values
+    _, sv, vt = np.linalg.svd(sysmat, full_matrices=False)
     null_dim = int(np.sum(sv < 1e-9 * max(1.0, sv[0])))
     if null_dim != 1:
         raise ModelError(f"center of l has dimension {null_dim}, expected 1")
@@ -341,7 +342,7 @@ def model_curvature(model: LieModel) -> Curv4:
     W = slot_contract(model.structure, model.p_frame.T, model.p_frame.T)
     # the last slot pair is lowered with the (possibly rescaled) metric
     WK = slot_contract(W, None, None, model.killing)
-    R = model.metric_scale * np.einsum("abl,cel->abce", WK, W)
+    R = model.metric_scale * np.einsum("abl,cel->abce", WK, W, optimize=True)
     return Curv4(space, R, KAHLER_TAGS)
 
 

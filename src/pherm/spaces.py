@@ -207,11 +207,34 @@ def slot_contract(q: np.ndarray, *mats) -> np.ndarray:
     return out
 
 
+def _signed_permutation(P: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(perm, s) with P[perm[x], x] = s[x] = +/-1 the only nonzero entry of
+    row perm[x] and of column x, or None if P is not a signed permutation."""
+    a = np.abs(P)
+    if not (np.all((a == 0) | (a == 1)) and np.all(a.sum(0) == 1) and np.all(a.sum(1) == 1)):
+        return None
+    perm = np.argmax(a, axis=0)
+    return perm, P[perm, np.arange(len(perm))]
+
+
 def split_average_grid(q: np.ndarray, P: np.ndarray, sign: int) -> np.ndarray:
-    """The +/- projection averaging P-conjugation over both slot pairs."""
-    q1 = slot_contract(q, P, P)
-    q2 = slot_contract(q, None, None, P, P)
-    q12 = slot_contract(q1, None, None, P, P)
+    """The +/- projection averaging P-conjugation over both slot pairs.
+
+    For a signed permutation P (J and tau in the adapted frame) each
+    conjugation is the index gather s[x] s[y] q[perm[x], perm[y], ...],
+    which equals the contraction exactly; any other P is contracted."""
+    signed = _signed_permutation(P)
+    if signed is None:
+        q1 = slot_contract(q, P, P)
+        q2 = slot_contract(q, None, None, P, P)
+        q12 = slot_contract(q1, None, None, P, P)
+    else:
+        perm, s = signed
+        rows, cols = perm[:, None], perm  # (x, y) -> (perm[x], perm[y])
+        ss = np.multiply.outer(s, s)
+        q1 = ss[:, :, None, None] * q[rows, cols]
+        q2 = ss * q[:, :, rows, cols]
+        q12 = ss * q1[:, :, rows, cols]
     return 0.25 * (q + sign * q1 + sign * q2 + q12)
 
 

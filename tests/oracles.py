@@ -279,6 +279,19 @@ def sample_curvatures_loop(q, J, n, seed):
     return out
 
 
+def structure_constants_einsum(mats):
+    """Structure constants C[i, j, k] ([b_i, b_j] = sum_k C[i, j, k] b_k) and
+    the Killing form tr(ad b_i ad b_j) of a basis of (N, m, m) matrices, by
+    unoptimised einsums and a pseudo-inverse of the flattened basis."""
+    N = mats.shape[0]
+    pinv = np.linalg.pinv(mats.reshape(N, -1).T)
+    brackets = np.einsum("iab,jbc->ijac", mats, mats)
+    brackets = brackets - np.einsum("jiac->ijac", brackets)
+    C = np.einsum("ka,ija->ijk", pinv, brackets.reshape(N, N, -1))
+    ads = np.einsum("ijk->ikj", C)
+    return C, np.einsum("iab,jba->ij", ads, ads)
+
+
 def model_curvature_einsum(p_frame, structure, killing, metric_scale):
     W = np.einsum("ai,bj,ijk->abk", p_frame, p_frame, structure)
     return metric_scale * np.einsum("abk,kl,cel->abce", W, killing, W)

@@ -65,3 +65,23 @@ def test_einsum_calls_have_at_most_two_operands(module):
         and (len(node.args) > 3 or any(isinstance(a, ast.Starred) for a in node.args))
     ]
     assert wide == [], f"{module}: einsum with more than two operands at lines {wide}"
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_svd_calls_skip_the_full_left_factor(module):
+    # a full SVD of a tall system builds a square U that no caller reads
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    full = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "svd"
+        and not any(
+            kw.arg in ("full_matrices", "compute_uv")
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is False
+            for kw in node.keywords
+        )
+    ]
+    assert full == [], f"{module}: svd without full_matrices=False or compute_uv=False at lines {full}"

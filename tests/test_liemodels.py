@@ -21,7 +21,7 @@ from pherm import (
     space_form,
 )
 
-from oracles import model_curvature_einsum, rel_err, su11_oracle
+from oracles import model_curvature_einsum, rel_err, structure_constants_einsum, su11_oracle
 
 # frozen hand values for the signature (1,1) bracket computation
 SU11_COMPONENT = -0.5
@@ -263,3 +263,40 @@ def test_model_curvature_matches_einsum_oracle(family, params):
         m = build_model(family, params, metric_scale=scale)
         want = model_curvature_einsum(m.p_frame, m.structure, m.killing, m.metric_scale)
         assert rel_err(model_curvature(m).entries, want) <= 1e-12
+
+
+# every family at its minimum parameters, then larger members
+ORACLE_MODELS = [
+    ("heisenberg", (1,)),
+    ("su_pq", (1, 1)),
+    ("sp_p_R", (1,)),
+    ("so_p_2", (3,)),
+    ("so_star_2p", (3,)),
+    ("sp_p_R", (3,)),
+    ("so_p_2", (8,)),
+    ("su_pq", (4, 3)),
+]
+
+
+def test_oracle_models_cover_every_family():
+    assert {f for f, _ in ORACLE_MODELS} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family,params", ORACLE_MODELS)
+def test_lie_model_matches_einsum_oracle(family, params):
+    m = build_model(family, params)
+    C, K = structure_constants_einsum(m.basis)
+    assert rel_err(m.structure, C) <= 1e-12
+    assert rel_err(m.killing, K) <= 1e-12
+    want = model_curvature_einsum(m.p_frame, C, K, m.metric_scale)
+    assert rel_err(model_curvature(m).entries, want) <= 1e-12
+    # xi_star spans the center of l: [z, l] = 0 ...
+    L = m.l_dim
+    z = m.xi_star[:L]
+    assert np.max(np.abs(np.einsum("i,ijk->jk", z, C[:L, :L, :L]))) <= 1e-12
+    # ... oriented so that its largest-magnitude entry is positive; where
+    # several entries tie in magnitude (so*(2p), sp(p, R)) they share the sign
+    top = np.abs(z) >= np.max(np.abs(z)) * (1 - 1e-12)
+    assert np.all(z[top] > 0)
+    if family in ("so_star_2p", "sp_p_R") and L > 1:
+        assert np.count_nonzero(top) > 1

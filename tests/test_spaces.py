@@ -17,6 +17,7 @@ from pherm.spaces import (
     slot_contract,
     split_average_grid,
 )
+from pherm import spaces
 from pherm.algebra import hat, unhat
 
 from oracles import random_curv4_loop, rel_err, split_average_einsum, unhat_loops
@@ -246,6 +247,61 @@ def test_split_average_grid_matches_einsum_oracle(d):
         for sign in (+1, -1):
             want = split_average_einsum(q, P, sign)
             assert rel_err(split_average_grid(q, P, sign), want) <= 1e-12
+
+
+def _random_signed_permutation(rng, n):
+    P = np.zeros((n, n))
+    P[rng.permutation(n), np.arange(n)] = rng.choice([-1.0, 1.0], size=n)
+    return P
+
+
+def _count_slot_contracts(monkeypatch):
+    calls = []
+    contract = spaces.slot_contract
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(spaces, "slot_contract", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_split_average_grid_gathers_only_signed_permutations(d, monkeypatch):
+    sp = make_space(d, with_torsion=True)
+    q = random_curv4(sp, {"pair_symmetric"}, seed=10 + d).entries
+    rng = np.random.default_rng(d)
+    P = _random_signed_permutation(rng, sp.n)
+    while np.array_equal(P, sp.J) or np.array_equal(P, sp.tau):
+        P = _random_signed_permutation(rng, sp.n)
+    # a signed permutation other than J or tau: gathered, bit for bit the contraction
+    for sign in (+1, -1):
+        q1 = slot_contract(q, P, P)
+        q2 = slot_contract(q, None, None, P, P)
+        q12 = slot_contract(q1, None, None, P, P)
+        calls = _count_slot_contracts(monkeypatch)
+        got = split_average_grid(q, P, sign)
+        monkeypatch.undo()
+        assert calls == []
+        assert np.array_equal(got, 0.25 * (q + sign * q1 + sign * q2 + q12))
+    # near misses take the contraction path
+    x = int(rng.integers(sp.n))
+    row = int(np.flatnonzero(P[:, x])[0])
+    scaled = P.copy()
+    scaled[row, x] *= 1 + 1e-3
+    extra = P.copy()
+    extra[(row + 1) % sp.n, x] = 0.5
+    shared = P.copy()
+    shared[:, (x + 1) % sp.n] = 0.0
+    shared[row, (x + 1) % sp.n] = 1.0  # two columns with their entry in one row
+    for M in (scaled, extra, shared):
+        for sign in (+1, -1):
+            calls = _count_slot_contracts(monkeypatch)
+            got = split_average_grid(q, M, sign)
+            monkeypatch.undo()
+            assert len(calls) == 3
+            assert rel_err(got, split_average_einsum(q, M, sign)) <= 1e-12
 
 
 def test_containers_reject_non_finite_entries():
