@@ -14,7 +14,9 @@ from .spaces import (
     Curv4,
     Endo2Forms,
     HorizontalSpace,
+    SignedPerm,
     _check_same_space,
+    _conjugate,
     bianchi_grid,
     dot4,
     fundamental_form,
@@ -24,7 +26,6 @@ from .spaces import (
     primitive_grid,
     ring_grid,
     ricci_grid,
-    slot_contract,
     split_average_grid,
     sym_product_grid,
     wedge_pairs,
@@ -116,7 +117,7 @@ def ring_action(q: Curv4, s: np.ndarray) -> np.ndarray:
     return ring_grid(q.entries, s)
 
 
-def _pair_split(q: Curv4, P: np.ndarray, name: str) -> tuple[Curv4, Curv4]:
+def _pair_split(q: Curv4, P: SignedPerm, name: str) -> tuple[Curv4, Curv4]:
     """The +/- parts of q under P-conjugation of both slot pairs, tagged
     name_plus / name_minus (idempotent pair projections)."""
     plus = split_average_grid(q.entries, P, +1)
@@ -130,13 +131,12 @@ def _pair_split(q: Curv4, P: np.ndarray, name: str) -> tuple[Curv4, Curv4]:
 
 def j_split(q: Curv4) -> tuple[Curv4, Curv4]:
     """J-invariant and J-anti-invariant parts."""
-    return _pair_split(q, q.space.J, "j")
+    return _pair_split(q, q.space.J_pair, "j")
 
 
 def tau_split(q: Curv4) -> tuple[Curv4, Curv4]:
     """tau-invariant and tau-anti-invariant parts; requires torsion."""
-    q.space.require_torsion()
-    return _pair_split(q, q.space.tau, "tau")
+    return _pair_split(q, q.space.require_torsion(), "tau")
 
 
 def primitive_part(q: Curv4) -> Curv4:
@@ -163,8 +163,8 @@ def wedge_adjoint(gamma: Bil2) -> float:
 
 
 def two_tensor_j_split(space: HorizontalSpace, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J-invariant / J-anti-invariant parts of a (vector-valued) 2-tensor."""
-    js = slot_contract(s, space.J, space.J)
+    """J-invariant / J-anti-invariant parts of a (vector-valued) 2-tensor (`J_pair` gather)."""
+    js = _conjugate(s, space.J_pair)
     return 0.5 * (s + js), 0.5 * (s - js)
 
 

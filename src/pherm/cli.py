@@ -40,7 +40,7 @@ from .liemodels import (
     kappa,
     model_curvature,
 )
-from .maps import canonical_Q, canonical_q_reference, identity_suite
+from .maps import IdentityResult, canonical_Q, canonical_q_reference, fold_residuals, identity_suite
 from .spaces import make_space
 
 SCHEMA_VERSION = "1"
@@ -178,42 +178,27 @@ def cmd_model(config: RunConfig) -> dict:
     }
 
 
-def _suite_entry(name: str, trials: int, worst: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tolerance,
-        "passed": bool(worst <= tolerance),
-    }
-
-
-def _canonical_q_suite(tolerance: float) -> dict:
+def _canonical_q_suite(tolerance: float) -> IdentityResult:
     """Exactness of the canonical tensor traces and Ricci multiples."""
-    worst = 0.0
-    trials = 0
+    residuals = []
     for d in (2, 3, 4):
         space = make_space(d, with_torsion=True)
         for variant in ("jminus", "jplus_primitive", "tau_jminus", "tau_jplus_primitive"):
             Q = canonical_Q(space, variant)
             ref_tr, ref_c = canonical_q_reference(variant, d)
-            worst = float(np.maximum(worst, abs(hat(Q).trace - ref_tr)))  # keeps a NaN
             cvals = ricci_contraction(Q).entries
-            worst = float(np.maximum(worst, np.max(np.abs(cvals - ref_c * space.g))))
-            trials += 1
-    return _suite_entry("canonical_q_constants", trials, worst, tolerance)
+            residuals.append((abs(hat(Q).trace - ref_tr), np.max(np.abs(cvals - ref_c * space.g))))
+    return fold_residuals("canonical_q_constants", residuals, tolerance)
 
 
-def _bianchi_model_suite(tolerance: float) -> dict:
+def _bianchi_model_suite(tolerance: float) -> IdentityResult:
     """First Bianchi residual of the assembled torsion-model curvature."""
-    worst = 0.0
-    trials = 0
+    residuals = []
     for d in (2, 3):
         space = make_space(d, with_torsion=True)
         rw, _ = torsion_curvature(space, -2.0 * d)
-        worst = float(np.maximum(worst, first_bianchi_residual(full_curvature(rw), space)))
-        trials += 1
-    return _suite_entry("torsion_model_first_bianchi", trials, worst, tolerance)
+        residuals.append(first_bianchi_residual(full_curvature(rw), space))
+    return fold_residuals("torsion_model_first_bianchi", residuals, tolerance)
 
 
 def cmd_verify(config: RunConfig) -> dict:
@@ -233,8 +218,8 @@ def cmd_verify(config: RunConfig) -> dict:
                 for res in report.results
             )
     if not config.negative_control:
-        suites.append(_canonical_q_suite(max(config.tolerance, 1e-12)))
-        suites.append(_bianchi_model_suite(config.tolerance))
+        suites.append(asdict(_canonical_q_suite(max(config.tolerance, 1e-12))))
+        suites.append(asdict(_bianchi_model_suite(config.tolerance)))
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

@@ -67,7 +67,7 @@ def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
         raise ValueError("the trace decomposition requires d >= 2")
 
     ric = Bil2(space, ricci_grid(rw.entries), "symmetric")
-    scalar = scalar_curvature(rw)
+    scalar = float(np.trace(ric.entries))  # scalar_curvature(rw), from the Ricci grid above
     rho = Bil2(space, -hat_2form_grid(rw.entries, space.omega), "antisymmetric")
     ric0 = traceless_part(ric)
     rho0 = Bil2(

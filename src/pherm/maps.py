@@ -303,6 +303,14 @@ class IdentityResult:
     passed: bool
 
 
+def fold_residuals(name: str, residuals, tolerance: float) -> IdentityResult:
+    """The suite entry of one check, from its residuals, one (or one row of
+    them) per trial: the largest decides `passed`, and unlike max() a NaN
+    anywhere in them sticks and fails the entry."""
+    worst = float(np.max(residuals, initial=0.0))
+    return IdentityResult(name, len(residuals), worst, tolerance, bool(worst <= tolerance))
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     results: tuple
@@ -468,19 +476,10 @@ def identity_suite(
     target = make_space(d_prime, with_torsion=True)
     results = []
     for ident_index, (name, fn, kw) in enumerate(_IDENTITIES):
-        worst = 0.0
+        residuals = []
         for trial in range(trials):
             rng = np.random.default_rng((seed, trial, ident_index))
-            resid = fn(rng, source, target, fiber_dim, negative_control, **kw)
-            worst = float(np.maximum(worst, resid))  # unlike max(), keeps a NaN
+            residuals.append(fn(rng, source, target, fiber_dim, negative_control, **kw))
         label = name + ("_negative_control" if negative_control else "")
-        results.append(
-            IdentityResult(
-                name=label,
-                trials=trials,
-                max_residual=worst,
-                tolerance=tolerance,
-                passed=bool(worst <= tolerance),
-            )
-        )
+        results.append(fold_residuals(label, residuals, tolerance))
     return SuiteReport(results=tuple(results))

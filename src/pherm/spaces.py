@@ -25,6 +25,7 @@ EXACT_TOL = 1e-12
 TOL = 1e-9
 
 SYMMETRIES = ("symmetric", "antisymmetric", "general")
+SignedPerm = tuple[np.ndarray, np.ndarray]  # (perm, s): P[perm[x], x] = s[x] = +/-1
 
 
 class SpaceMismatchError(ValueError):
@@ -43,16 +44,19 @@ class HorizontalSpace:
     contact metric structure: tau is g-symmetric, trace free, anticommutes
     with J and squares to the identity under the |tau|^2 = 2d normalization.
     A(X, Y) = g(tau X, Y) and B(X, Y) = omega(tau X, Y); both are symmetric
-    because J tau is g-symmetric.
+    because J tau is g-symmetric.  J and tau are declared once, as the signed
+    permutations `J_pair` and `tau_pair` that fill the dense grids.
     """
 
     d: int
     g: np.ndarray
     J: np.ndarray
     omega: np.ndarray
+    J_pair: SignedPerm
     tau: Optional[np.ndarray] = None
     A: Optional[np.ndarray] = None
     B: Optional[np.ndarray] = None
+    tau_pair: Optional[SignedPerm] = None
 
     @property
     def n(self) -> int:
@@ -62,11 +66,11 @@ class HorizontalSpace:
     def has_torsion(self) -> bool:
         return self.tau is not None
 
-    def require_torsion(self) -> np.ndarray:
-        """tau; raises ValueError on a space without torsion."""
+    def require_torsion(self) -> SignedPerm:
+        """tau as its (perm, s) pair; raises ValueError on a space without torsion."""
         if self.tau is None:
             raise ValueError("operation requires a space with torsion")
-        return self.tau
+        return self.tau_pair
 
     def __repr__(self):  # keep reprs short, the grids are not informative
         return f"HorizontalSpace(d={self.d}, torsion={self.has_torsion})"
@@ -86,17 +90,19 @@ def make_space(d: int, with_torsion: bool = False) -> HorizontalSpace:
     if d < 1:
         raise ValueError(f"half-dimension must be >= 1, got {d}")
     n = 2 * d
-    g = np.eye(n)
+    g, cols = np.eye(n), np.arange(n)
+    s = np.concatenate([np.ones(d), -np.ones(d)])
+    J_pair = (np.roll(cols, d), s)  # J e_i = e_{d+i}, J(Je_i) = -e_i
     J = np.zeros((n, n))
-    J[d:, :d] = np.eye(d)  # J e_i = e_{d+i}
-    J[:d, d:] = -np.eye(d)  # J(Je_i) = -e_i
+    J[J_pair[0], cols] = s
     omega = J.T.copy()  # omega(X, Y) = g(JX, Y) = X^T J^T Y
     if not with_torsion:
-        return HorizontalSpace(d, g, J, omega)
-    tau = np.diag(np.concatenate([np.ones(d), -np.ones(d)]))
+        return HorizontalSpace(d, g, J, omega, J_pair)
+    tau_pair = (cols, s)
+    tau = np.diag(s)  # tau_pair's perm is the identity
     A = tau.copy()  # A(X, Y) = g(tau X, Y)
     B = tau @ omega  # B(X, Y) = omega(tau X, Y); equals (J tau)^T, symmetric
-    return HorizontalSpace(d, g, J, omega, tau, A, B)
+    return HorizontalSpace(d, g, J, omega, J_pair, tau, A, B, tau_pair)
 
 
 def _check_same_space(a, b):
@@ -188,9 +194,9 @@ def bianchi_project_grid(q: np.ndarray) -> np.ndarray:
     return q - bianchi_grid(q) / 3.0
 
 
-def kahler_bianchi_grid(q: np.ndarray, J: np.ndarray) -> np.ndarray:
+def kahler_bianchi_grid(q: np.ndarray, J: SignedPerm) -> np.ndarray:
     """Orthogonal projection of a pair-symmetric J-invariant tensor onto
-    Ker b: it symmetrizes R(Z_i, Zbar_j, Z_k, Zbar_l) in (i, k)."""
+    Ker b: it symmetrizes R(Z_i, Zbar_j, Z_k, Zbar_l) in (i, k); J is `J_pair`."""
     swapped = antisym_pairs_grid(np.einsum("zyxw->xyzw", q))
     return 0.5 * q + split_average_grid(pair_sym_grid(swapped), J, +1)
 
@@ -207,35 +213,19 @@ def slot_contract(q: np.ndarray, *mats) -> np.ndarray:
     return out
 
 
-def _signed_permutation(P: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(perm, s) with P[perm[x], x] = s[x] = +/-1 the only nonzero entry of
-    row perm[x] and of column x, or None if P is not a signed permutation."""
-    a = np.abs(P)
-    if not (np.all((a == 0) | (a == 1)) and np.all(a.sum(0) == 1) and np.all(a.sum(1) == 1)):
-        return None
-    perm = np.argmax(a, axis=0)
-    return perm, P[perm, np.arange(len(perm))]
+def _conjugate(q: np.ndarray, P: SignedPerm, first: int = 0) -> np.ndarray:
+    """P-conjugation of slots first and first + 1 of q, the index gather
+    s[x] s[y] q[..., perm[x], perm[y], ...]; it equals the contraction exactly."""
+    perm, s = P
+    ss = np.multiply.outer(s, s)[(...,) + (None,) * (q.ndim - first - 2)]  # over later slots too
+    return ss * q[(slice(None),) * first + (perm[:, None], perm)]
 
 
-def split_average_grid(q: np.ndarray, P: np.ndarray, sign: int) -> np.ndarray:
-    """The +/- projection averaging P-conjugation over both slot pairs.
-
-    For a signed permutation P (J and tau in the adapted frame) each
-    conjugation is the index gather s[x] s[y] q[perm[x], perm[y], ...],
-    which equals the contraction exactly; any other P is contracted."""
-    signed = _signed_permutation(P)
-    if signed is None:
-        q1 = slot_contract(q, P, P)
-        q2 = slot_contract(q, None, None, P, P)
-        q12 = slot_contract(q1, None, None, P, P)
-    else:
-        perm, s = signed
-        rows, cols = perm[:, None], perm  # (x, y) -> (perm[x], perm[y])
-        ss = np.multiply.outer(s, s)
-        q1 = ss[:, :, None, None] * q[rows, cols]
-        q2 = ss * q[:, :, rows, cols]
-        q12 = ss * q1[:, :, rows, cols]
-    return 0.25 * (q + sign * q1 + sign * q2 + q12)
+def split_average_grid(q: np.ndarray, P: SignedPerm, sign: int) -> np.ndarray:
+    """The +/- projection averaging P-conjugation over both slot pairs, for
+    a signed permutation P = (perm, s) such as `J_pair` or `tau_pair`."""
+    q1 = _conjugate(q, P)
+    return 0.25 * (q + sign * q1 + sign * _conjugate(q, P, 2) + _conjugate(q1, P, 2))
 
 
 def hat_2form_grid(q: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -294,8 +284,8 @@ def dot4(p: np.ndarray, q: np.ndarray) -> float:
 # so a rebound module attribute takes effect here too.
 _PROJECTORS = {
     "pair_symmetric": lambda space, q: pair_sym_grid(q),
-    "j_plus": lambda space, q: split_average_grid(q, space.J, +1),
-    "j_minus": lambda space, q: split_average_grid(q, space.J, -1),
+    "j_plus": lambda space, q: split_average_grid(q, space.J_pair, +1),
+    "j_minus": lambda space, q: split_average_grid(q, space.J_pair, -1),
     "tau_plus": lambda space, q: split_average_grid(q, space.require_torsion(), +1),
     "tau_minus": lambda space, q: split_average_grid(q, space.require_torsion(), -1),
     "bianchi_closed": lambda space, q: bianchi_project_grid(q),
@@ -441,7 +431,7 @@ def random_curv4(space: HorizontalSpace, tags: Iterable[str], seed) -> Curv4:
     for tag, project in _PROJECTORS.items():
         if tag in tags:
             kahler = tag == "bianchi_closed" and "j_plus" in tags
-            q = kahler_bianchi_grid(q, space.J) if kahler else project(space, q)
+            q = kahler_bianchi_grid(q, space.J_pair) if kahler else project(space, q)
     scale = float(np.max(np.abs(q)))
     if scale < 1e-10:
         raise TagError(f"tag set {sorted(tags)} admits only the zero tensor at d={space.d}")

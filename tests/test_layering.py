@@ -85,3 +85,33 @@ def test_svd_calls_skip_the_full_left_factor(module):
         )
     ]
     assert full == [], f"{module}: svd without full_matrices=False or compute_uv=False at lines {full}"
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every bare name and attribute name in an expression."""
+    return {
+        sub.attr if isinstance(sub, ast.Attribute) else sub.id
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Attribute, ast.Name))
+    }
+
+
+def conjugations_by_contraction(tree: ast.AST) -> list[int]:
+    """Lines of `slot_contract` calls with a J or tau argument (`.J`, `.tau`
+    or a bare `J` / `tau` name, also inside an expression such as `J.T`)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "slot_contract"
+        and any(_names(arg) & {"J", "tau"} for arg in node.args)
+    )
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_no_slot_contract_conjugates_by_j_or_tau(module):
+    # J and tau are signed permutations: the space holds them as (perm, s)
+    # pairs and conjugates by the exact index gather, never by a contraction
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    lines = conjugations_by_contraction(tree)
+    assert lines == [], f"{module}: slot_contract by J or tau at lines {lines}"

@@ -106,10 +106,10 @@ def test_random_curv4_projector_posteriors():
     q = random_curv4(sp, {"pair_symmetric", "bianchi_closed"}, seed=1)
     assert np.max(np.abs(bianchi_grid(q.entries))) < 1e-12
     q = random_curv4(sp, {"pair_symmetric", "j_plus"}, seed=3)
-    conj = split_average_grid(q.entries, sp.J, +1)
+    conj = split_average_grid(q.entries, sp.J_pair, +1)
     assert np.max(np.abs(q.entries - conj)) < 1e-12
     q = random_curv4(sp, {"pair_symmetric", "j_minus", "tau_plus"}, seed=5)
-    assert np.max(np.abs(q.entries - split_average_grid(q.entries, sp.tau, +1))) < 1e-12
+    assert np.max(np.abs(q.entries - split_average_grid(q.entries, sp.tau_pair, +1))) < 1e-12
 
 
 def test_random_curv4_contradictory_tags():
@@ -243,16 +243,35 @@ def test_slot_contract_matches_einsum_with_vector_and_none_slots():
 def test_split_average_grid_matches_einsum_oracle(d):
     sp = make_space(d, with_torsion=True)
     q = random_curv4(sp, {"pair_symmetric"}, seed=d).entries
-    for P in (sp.J, sp.tau, np.random.default_rng(d).standard_normal((sp.n, sp.n))):
+    for pair, P in ((sp.J_pair, sp.J), (sp.tau_pair, sp.tau)):
         for sign in (+1, -1):
             want = split_average_einsum(q, P, sign)
-            assert rel_err(split_average_grid(q, P, sign), want) <= 1e-12
+            assert rel_err(split_average_grid(q, pair, sign), want) <= 1e-12
 
 
 def _random_signed_permutation(rng, n):
-    P = np.zeros((n, n))
-    P[rng.permutation(n), np.arange(n)] = rng.choice([-1.0, 1.0], size=n)
+    return rng.permutation(n), rng.choice([-1.0, 1.0], size=n)
+
+
+def _dense(pair):
+    perm, s = pair
+    P = np.zeros((len(perm),) * 2)
+    P[perm, np.arange(len(perm))] = s
     return P
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("with_torsion", [False, True])
+def test_stored_pairs_rebuild_j_and_tau(d, with_torsion):
+    sp = make_space(d, with_torsion=with_torsion)
+    assert np.array_equal(_dense(sp.J_pair), sp.J)
+    if with_torsion:
+        assert np.array_equal(_dense(sp.tau_pair), sp.tau)
+        assert sp.require_torsion() is sp.tau_pair
+    else:
+        assert sp.tau is None and sp.tau_pair is None
+        with pytest.raises(ValueError, match="torsion"):
+            sp.require_torsion()
 
 
 def _count_slot_contracts(monkeypatch):
@@ -272,36 +291,21 @@ def test_split_average_grid_gathers_only_signed_permutations(d, monkeypatch):
     sp = make_space(d, with_torsion=True)
     q = random_curv4(sp, {"pair_symmetric"}, seed=10 + d).entries
     rng = np.random.default_rng(d)
-    P = _random_signed_permutation(rng, sp.n)
+    pair = _random_signed_permutation(rng, sp.n)
+    P = _dense(pair)
     while np.array_equal(P, sp.J) or np.array_equal(P, sp.tau):
-        P = _random_signed_permutation(rng, sp.n)
+        pair = _random_signed_permutation(rng, sp.n)
+        P = _dense(pair)
     # a signed permutation other than J or tau: gathered, bit for bit the contraction
     for sign in (+1, -1):
         q1 = slot_contract(q, P, P)
         q2 = slot_contract(q, None, None, P, P)
         q12 = slot_contract(q1, None, None, P, P)
         calls = _count_slot_contracts(monkeypatch)
-        got = split_average_grid(q, P, sign)
+        got = split_average_grid(q, pair, sign)
         monkeypatch.undo()
         assert calls == []
         assert np.array_equal(got, 0.25 * (q + sign * q1 + sign * q2 + q12))
-    # near misses take the contraction path
-    x = int(rng.integers(sp.n))
-    row = int(np.flatnonzero(P[:, x])[0])
-    scaled = P.copy()
-    scaled[row, x] *= 1 + 1e-3
-    extra = P.copy()
-    extra[(row + 1) % sp.n, x] = 0.5
-    shared = P.copy()
-    shared[:, (x + 1) % sp.n] = 0.0
-    shared[row, (x + 1) % sp.n] = 1.0  # two columns with their entry in one row
-    for M in (scaled, extra, shared):
-        for sign in (+1, -1):
-            calls = _count_slot_contracts(monkeypatch)
-            got = split_average_grid(q, M, sign)
-            monkeypatch.undo()
-            assert len(calls) == 3
-            assert rel_err(got, split_average_einsum(q, M, sign)) <= 1e-12
 
 
 def test_containers_reject_non_finite_entries():
