@@ -3,6 +3,7 @@ splittings and the canonical tensors built from g, omega, A, B.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -184,7 +185,17 @@ class CanonicalTensors:
 def canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
     """Build g%g, omega%omega, omega.omega, the constant-holomorphic-
     curvature tensor I^C, its primitive part, and (with torsion) the
-    torsion tensor (1/8)(A%A + B%B) and its primitive part."""
+    torsion tensor (1/8)(A%A + B%B) and its primitive part.
+
+    The tensors depend only on the frame, so they are built, and their tags
+    checked, once per space (keyed by identity) and then shared; their
+    entries are read-only.
+    """
+    return _canonical_tensors(space)
+
+
+@functools.lru_cache(maxsize=16)  # bounds what large or hand-built spaces keep alive
+def _canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
     g = metric_form(space)
     w = fundamental_form(space)
     gkg = kulkarni(g, g)
@@ -203,4 +214,7 @@ def canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
         t_grid = (kulkarni_grid(space.A, space.A) + kulkarni_grid(space.B, space.B)) / 8.0
         T = Curv4(space, t_grid, KAHLER_TAGS)
         T0 = primitive_part(T)
+    for q in (gkg, wkw, wsw, Ic, Ic0, T, T0):
+        if q is not None:
+            q.entries.flags.writeable = False  # shared by every caller
     return CanonicalTensors(gkg=gkg, wkw=wkw, wsw=wsw, Ic=Ic, Ic0=Ic0, T=T, T0=T0)

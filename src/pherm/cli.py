@@ -34,8 +34,8 @@ from .invariants import (
 from .liemodels import (
     FAMILIES,
     OUT_OF_SCOPE_FAMILIES,
+    _c0_prime,
     build_model,
-    c0_prime,
     closed_form_constants,
     kappa,
     model_curvature,
@@ -105,7 +105,7 @@ def _table_row(family, params):
         row.update({"status": "flat", "s": 0.0, "c0_prime": None, "kappa": kappa(rw)})
         return row
     row["s"] = scalar_curvature(rw)
-    computed_c0 = c0_prime(rw)
+    computed_c0 = _c0_prime(rw, row["s"])
     computed_kappa = kappa(rw)
     ref_c0, ref_kappa = closed_form_constants(family, params)
     row.update(
@@ -160,7 +160,7 @@ def cmd_model(config: RunConfig) -> dict:
                 {
                     "pseudo_einstein": rep.pseudo_einstein,
                     "cm_norm2": rep.cm_norm2,
-                    "c0_prime": c0_prime(rw) if abs(block["s"]) > 1e-12 else None,
+                    "c0_prime": _c0_prime(rw, block["s"]) if abs(block["s"]) > 1e-12 else None,
                     "kappa": kappa(rw),
                     "curvature_ranges": {
                         "sectional": list(rep.sectional_range),

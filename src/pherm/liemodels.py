@@ -348,7 +348,11 @@ def model_curvature(model: LieModel) -> Curv4:
 
 def c0_prime(rw: Curv4) -> float:
     """Scale-covariant curvature-norm constant -4 |R|^2 / s."""
-    s = scalar_curvature(rw)
+    return _c0_prime(rw, scalar_curvature(rw))
+
+
+def _c0_prime(rw: Curv4, s: float) -> float:
+    """c0_prime for a caller that already holds s = scalar_curvature(rw)."""
     if abs(s) < 1e-12:
         raise ValueError("scalar curvature vanishes; constant undefined")
     return -4.0 * norm2(rw) / s

@@ -13,6 +13,8 @@ trace of the composed induced operators on wedge 2-vectors.
 """
 from __future__ import annotations
 
+import functools
+import operator
 import string
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -77,7 +79,12 @@ class HorizontalSpace:
 
 
 def make_space(d: int, with_torsion: bool = False) -> HorizontalSpace:
-    """Build the adapted-frame model space of half-dimension d.
+    """The adapted-frame model space of half-dimension d.
+
+    The space is built once per (d, with_torsion) and shared: every call
+    with the same values, positional or keyword, returns the same object,
+    and its grids (g, J, omega, tau, A, B and the `J_pair` / `tau_pair`
+    arrays) are read-only, so an in-place write raises ValueError.
 
     Parameters
     ----------
@@ -87,8 +94,14 @@ def make_space(d: int, with_torsion: bool = False) -> HorizontalSpace:
         If set, equip the space with tau = diag(+1 on e's, -1 on Je's) and
         the associated bilinear forms A, B.
     """
+    d = operator.index(d)
     if d < 1:
         raise ValueError(f"half-dimension must be >= 1, got {d}")
+    return _make_space(d, bool(with_torsion))
+
+
+@functools.cache
+def _make_space(d: int, with_torsion: bool) -> HorizontalSpace:
     n = 2 * d
     g, cols = np.eye(n), np.arange(n)
     s = np.concatenate([np.ones(d), -np.ones(d)])
@@ -96,12 +109,15 @@ def make_space(d: int, with_torsion: bool = False) -> HorizontalSpace:
     J = np.zeros((n, n))
     J[J_pair[0], cols] = s
     omega = J.T.copy()  # omega(X, Y) = g(JX, Y) = X^T J^T Y
-    if not with_torsion:
-        return HorizontalSpace(d, g, J, omega, J_pair)
-    tau_pair = (cols, s)
-    tau = np.diag(s)  # tau_pair's perm is the identity
-    A = tau.copy()  # A(X, Y) = g(tau X, Y)
-    B = tau @ omega  # B(X, Y) = omega(tau X, Y); equals (J tau)^T, symmetric
+    tau = A = B = tau_pair = None
+    if with_torsion:
+        tau_pair = (cols, s)
+        tau = np.diag(s)  # tau_pair's perm is the identity
+        A = tau.copy()  # A(X, Y) = g(tau X, Y)
+        B = tau @ omega  # B(X, Y) = omega(tau X, Y); equals (J tau)^T, symmetric
+    for grid in (g, J, omega, *J_pair, tau, A, B, *(tau_pair or ())):
+        if grid is not None:
+            grid.flags.writeable = False  # one space is shared by every caller
     return HorizontalSpace(d, g, J, omega, J_pair, tau, A, B, tau_pair)
 
 

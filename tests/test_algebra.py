@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from pherm import (
     traceless_part,
     wedge_adjoint,
 )
+from pherm import algebra, spaces
 from pherm.algebra import two_tensor_j_split
 from pherm.spaces import Bil2, Curv4, SpaceMismatchError, antisym_pairs_grid, inner2
 
@@ -399,3 +402,46 @@ def test_norm2_is_never_negative():
     assert norm2(q) == pytest.approx(0.125 * np.sum(q.entries**2), rel=1e-12)
     with pytest.raises(ValueError):
         norm2(Curv4(sp, a))  # no pair_symmetric tag
+
+
+CANONICAL_FIELDS = ("gkg", "wkw", "wsw", "Ic", "Ic0", "T", "T0")
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+def test_canonical_tensors_are_built_once_and_read_only(torsion):
+    sp = make_space(2, torsion)
+    can = canonical_tensors(sp)
+    assert canonical_tensors(sp) is can
+    assert canonical_tensors(make_space(2, with_torsion=torsion)) is can
+    fresh = algebra._canonical_tensors.__wrapped__(sp)  # an uncached build
+    for name in CANONICAL_FIELDS:
+        cached, built = getattr(can, name), getattr(fresh, name)
+        if built is None:
+            assert cached is None and not torsion
+            continue
+        assert np.array_equal(cached.entries, built.entries), name  # bit for bit
+        assert cached.tags == built.tags, name
+        with pytest.raises(ValueError):
+            cached.entries[0, 1, 0, 1] = 7.0
+        assert np.array_equal(cached.entries, built.entries), name
+
+
+def test_canonical_tensors_check_tags_on_each_new_space(monkeypatch):
+    calls, tag_residual = [], spaces._tag_residual
+
+    def counting(space, q, tag):
+        calls.append(tag)
+        return tag_residual(space, q, tag)
+
+    monkeypatch.setattr(spaces, "_tag_residual", counting)
+    shared = make_space(3, with_torsion=True)
+    hand_built = dataclasses.replace(shared)  # same grids, a space of its own
+    can = canonical_tensors(hand_built)
+    assert can.Ic.space is hand_built
+    assert {"pair_symmetric", "bianchi_closed", "j_plus", "primitive"} <= set(calls)
+    first_build = len(calls)
+    assert canonical_tensors(hand_built) is can
+    assert len(calls) == first_build  # the cached tensors are not re-checked
+    assert canonical_tensors(shared) is not can  # each space has its own entry
+    for name in CANONICAL_FIELDS:
+        assert np.array_equal(getattr(can, name).entries, getattr(canonical_tensors(shared), name).entries)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pherm
-from pherm import cli, maps
+from pherm import algebra, cli, maps, spaces
 from pherm.cli import (
     RunConfig,
     cmd_model,
@@ -259,3 +260,25 @@ def test_verify_nan_residual_fails(monkeypatch, capsys):
         assert math.isnan(by_name[name]["max_residual"])
         assert by_name[name]["passed"] is False
     assert by_name["canonical_q_constants"]["passed"] is True
+
+
+def load_workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_report_is_the_same_with_warm_and_cleared_caches(capsys):
+    argv = load_workloads().make_run("verify", 0).argv
+    outs = []
+    for clear in (False, False, True):
+        if clear:
+            spaces._make_space.cache_clear()
+            algebra._canonical_tensors.cache_clear()
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]

@@ -2,6 +2,10 @@
 layers, so each piece of the curvature algebra has one home below its users.
 """
 import ast
+import functools
+import importlib
+import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -115,3 +119,37 @@ def test_no_slot_contract_conjugates_by_j_or_tau(module):
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     lines = conjugations_by_contraction(tree)
     assert lines == [], f"{module}: slot_contract by J or tau at lines {lines}"
+
+
+def hidden_from_tracer(module) -> list[str]:
+    """Public module-level callables defined in `module` that are neither
+    plain functions nor classes.  `perfbench/tracer.py` times only
+    `inspect.isfunction` objects, so a cache wrapper such as a bare
+    `functools.cache` would drop its function from the per-layer metrics."""
+    return sorted(
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and getattr(obj, "__module__", None) == module.__name__
+        and not (inspect.isfunction(obj) or inspect.isclass(obj))
+    )
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_public_callables_are_plain_functions_or_classes(module):
+    hidden = hidden_from_tracer(importlib.import_module(f"pherm.{module}"))
+    assert hidden == [], f"{module}: public callables the tracer cannot see: {hidden}"
+
+
+def test_tracer_guard_catches_a_cached_public_function():
+    module = types.ModuleType("cached_module")
+
+    def build(d):
+        return d
+
+    build.__module__ = module.__name__
+    module.build = functools.cache(build)  # what the guard must refuse
+    module._build = functools.cache(build)  # private names may be cached
+    module.plain = build
+    assert hidden_from_tracer(module) == ["build"]

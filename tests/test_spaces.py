@@ -69,6 +69,40 @@ def test_torsion_invariants(d):
 def test_invalid_dimension_rejected():
     with pytest.raises(ValueError):
         make_space(0)
+    with pytest.raises(TypeError):
+        make_space(2.0)
+
+
+def test_make_space_returns_one_shared_space_per_key():
+    sp = make_space(2, True)
+    assert make_space(2, True) is sp
+    assert make_space(2, with_torsion=True) is sp
+    assert make_space(d=2, with_torsion=1) is sp
+    assert make_space(np.int64(2), True) is sp
+    assert make_space(2) is make_space(2, False)
+    assert make_space(2) is not sp
+    assert make_space(3, True) is not sp
+
+
+def space_arrays(sp):
+    """Every grid and signed-permutation array a space holds."""
+    grids = {name: getattr(sp, name) for name in ("g", "J", "omega", "tau", "A", "B")}
+    for name in ("J_pair", "tau_pair"):
+        for i, arr in enumerate(getattr(sp, name) or ()):
+            grids[f"{name}[{i}]"] = arr
+    return {name: arr for name, arr in grids.items() if arr is not None}
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+def test_space_grids_are_read_only(torsion):
+    sp = make_space(2, torsion)
+    arrays = space_arrays(sp)
+    assert len(arrays) == (10 if torsion else 5)
+    for name, arr in arrays.items():
+        before = arr.copy()
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 7
+        assert np.array_equal(arr, before), name
 
 
 def test_complex_frame_orthonormality():
