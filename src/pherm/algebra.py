@@ -180,12 +180,15 @@ class CanonicalTensors:
     Ic0: Curv4
     T: Optional[Curv4] = None
     T0: Optional[Curv4] = None
+    torsion_rw: Optional[Curv4] = None
+    torsion_cm: Optional[Curv4] = None
 
 
 def canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
     """Build g%g, omega%omega, omega.omega, the constant-holomorphic-
     curvature tensor I^C, its primitive part, and (with torsion) the
-    torsion tensor (1/8)(A%A + B%B) and its primitive part.
+    torsion tensor (1/8)(A%A + B%B), its primitive part and (at d >= 2) the
+    s = -2d parallel-torsion model of `invariants.torsion_curvature`.
 
     The tensors depend only on the frame, so they are built, and their tags
     checked, once per space (keyed by identity) and then shared; their
@@ -209,12 +212,20 @@ def _canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
     Ic = Curv4(space, ic_grid, KAHLER_TAGS)
     # the primitive parts pick up an omega.omega component, so they leave Ker b
     Ic0 = primitive_part(Ic)
-    T = T0 = None
+    T = T0 = torsion_rw = torsion_cm = None
     if space.has_torsion:
         t_grid = (kulkarni_grid(space.A, space.A) + kulkarni_grid(space.B, space.B)) / 8.0
         T = Curv4(space, t_grid, KAHLER_TAGS)
         T0 = primitive_part(T)
-    for q in (gkg, wkw, wsw, Ic, Ic0, T, T0):
+    if space.has_torsion and space.d >= 2:
+        d = space.d
+        s = -2.0 * d  # the scalar curvature at which the Ricci form is omega
+        torsion_rw = Curv4(space, (s / d**2) * (Ic.entries + T.entries), KAHLER_TAGS)
+        # the omega.omega components of I^C_0/(d+1) and T_0 cancel, so the
+        # Chern-Moser tensor of the model is Bianchi closed as well
+        cm_grid = (s / d**2) * (Ic0.entries / (d + 1) + T0.entries)
+        torsion_cm = Curv4(space, cm_grid, KAHLER_TAGS | {"primitive"})
+    for q in (gkg, wkw, wsw, Ic, Ic0, T, T0, torsion_rw, torsion_cm):
         if q is not None:
             q.entries.flags.writeable = False  # shared by every caller
-    return CanonicalTensors(gkg=gkg, wkw=wkw, wsw=wsw, Ic=Ic, Ic0=Ic0, T=T, T0=T0)
+    return CanonicalTensors(gkg, wkw, wsw, Ic, Ic0, T, T0, torsion_rw, torsion_cm)

@@ -10,6 +10,9 @@ Three subcommands:
   verify  the randomized identity and operator-relation suites, exit code 0
           only if every suite passes at the configured tolerance.
 
+Exit codes: 0 success, 1 a verify suite failed, 2 a configuration or I/O
+error, 3 a crash (any other exception; its traceback goes to stderr).
+
 Reports are deterministic JSON documents (schema_version "1"); floats are
 serialized in full round-trip precision.
 """
@@ -19,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -300,6 +304,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash must not read as a verdict (0 passed, 1 failed)
+        traceback.print_exc()
+        return 3
 
     text = render_document(doc)
     if config.output_path:

@@ -157,7 +157,9 @@ def torsion_curvature(space: HorizontalSpace, s: Optional[float] = None) -> tupl
     With the |tau|^2 = 2d normalization the model curvature is
     (s/d^2)(I^C + T) and its Chern-Moser part is
     (s/d^2)(I^C_0/(d+1) + T_0).  The formula is homogeneous in the scalar
-    curvature; the default s = -2d makes the Ricci form equal omega.
+    curvature; the default s = -2d makes the Ricci form equal omega.  Both
+    are the shared s = -2d model of `canonical_tensors` scaled by s / (-2d),
+    which is exactly 1 at the default.
     """
     space.require_torsion()
     d = space.d
@@ -166,13 +168,8 @@ def torsion_curvature(space: HorizontalSpace, s: Optional[float] = None) -> tupl
     if d < 2:
         raise ValueError("the torsion model requires d >= 2")
     can = canonical_tensors(space)
-    rw_grid = (s / d**2) * (can.Ic.entries + can.T.entries)
-    cm_grid = (s / d**2) * (can.Ic0.entries / (d + 1) + can.T0.entries)
-    rw = Curv4(space, rw_grid, KAHLER_TAGS)
-    # the omega.omega components of I^C_0/(d+1) and T_0 cancel, so the
-    # Chern-Moser tensor of the model is Bianchi closed as well
-    cm = Curv4(space, cm_grid, KAHLER_TAGS | {"primitive"})
-    return rw, cm
+    scale = s / (-2.0 * d)
+    return tuple(Curv4(space, scale * q.entries, q.tags) for q in (can.torsion_rw, can.torsion_cm))
 
 
 def full_curvature(rw: Curv4) -> Curv4:

@@ -153,21 +153,6 @@ class Bil2:
             if np.max(np.abs(self.entries + self.entries.T)) > TOL * scale:
                 raise ValueError("entries are not antisymmetric")
 
-    def __add__(self, other):
-        _check_same_space(self, other)
-        sym = self.symmetry if self.symmetry == other.symmetry else "general"
-        return Bil2(self.space, self.entries + other.entries, sym)
-
-    def __sub__(self, other):
-        _check_same_space(self, other)
-        sym = self.symmetry if self.symmetry == other.symmetry else "general"
-        return Bil2(self.space, self.entries - other.entries, sym)
-
-    def __mul__(self, c):
-        return Bil2(self.space, float(c) * self.entries, self.symmetry)
-
-    __rmul__ = __mul__
-
 
 def metric_form(space: HorizontalSpace) -> Bil2:
     return Bil2(space, space.g.copy(), "symmetric")
@@ -350,19 +335,6 @@ class Curv4:
 
     def has(self, tag: str) -> bool:
         return tag in self.tags
-
-    def __add__(self, other):
-        _check_same_space(self, other)
-        return Curv4(self.space, self.entries + other.entries, self.tags & other.tags)
-
-    def __sub__(self, other):
-        _check_same_space(self, other)
-        return Curv4(self.space, self.entries - other.entries, self.tags & other.tags)
-
-    def __mul__(self, c):
-        return Curv4(self.space, float(c) * self.entries, self.tags)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Curv4(d={self.space.d}, tags={sorted(self.tags)})"

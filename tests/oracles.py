@@ -314,6 +314,29 @@ def curvature_terms_einsum(q, D, J_target):
     return r20, r11, hbk, k
 
 
+def q_curvature_einsum(Q, q, D):
+    """(1/8) sum Q . phi^*q: the pairing of a source weight Q with the
+    pullback of a target tensor q along the differential D."""
+    return 0.125 * float(np.einsum("abcd,abcd->", Q, pullback4_einsum(q, D)))
+
+
+def reeb_residual_loops(Q, F, v, plus):
+    """|<T^ F, F> - sign tr(Q^) |v|^2| with T = b(Q) - Q, sign -1 for the
+    J-invariant weights (plus) and +1 otherwise, for a 2-form-valued F of
+    shape (n, n, k); <s, t> = (1/2) sum s t and (T^ F)(X, Y) =
+    (1/2) sum_ij T(e_i, e_j, X, Y) F_ij."""
+    n, k = F.shape[0], F.shape[2]
+    T = bianchi_loops(Q) - Q
+    lhs = 0.0
+    for x in range(n):
+        for y in range(n):
+            for c in range(k):
+                tf = 0.5 * sum(T[i, j, x, y] * F[i, j, c] for i in range(n) for j in range(n))
+                lhs += 0.5 * tf * F[x, y, c]
+    rhs = (-1.0 if plus else 1.0) * hat_trace_loops(Q) * float(v @ v)
+    return abs(lhs - rhs)
+
+
 def rel_err(a, b):
     """Max-abs difference relative to max(1, max |b|)."""
     a, b = np.asarray(a), np.asarray(b)

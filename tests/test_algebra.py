@@ -404,7 +404,7 @@ def test_norm2_is_never_negative():
         norm2(Curv4(sp, a))  # no pair_symmetric tag
 
 
-CANONICAL_FIELDS = ("gkg", "wkw", "wsw", "Ic", "Ic0", "T", "T0")
+CANONICAL_FIELDS = ("gkg", "wkw", "wsw", "Ic", "Ic0", "T", "T0", "torsion_rw", "torsion_cm")
 
 
 @pytest.mark.parametrize("torsion", [False, True])

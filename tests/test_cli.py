@@ -262,6 +262,20 @@ def test_verify_nan_residual_fails(monkeypatch, capsys):
     assert by_name["canonical_q_constants"]["passed"] is True
 
 
+@pytest.mark.parametrize("extra", [[], ["--negative-control"]])
+def test_verify_crash_exits_3_not_a_verdict(monkeypatch, capsys, extra):
+    # exit 1 means "controls detected" under --negative-control, and it is
+    # also Python's code for an uncaught exception; a crash gives neither
+    def crash(*args):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(maps, "_IDENTITIES", (("crash_identity", crash, {}),))
+    assert main(["verify", "--trials", "2", "--dims", "2,2", *extra]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "TypeError: unsupported operand" in err
+
+
 def load_workloads():
     """perfbench/workloads.py, loaded by path: perfbench is not a package."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -279,6 +293,7 @@ def test_verify_report_is_the_same_with_warm_and_cleared_caches(capsys):
         if clear:
             spaces._make_space.cache_clear()
             algebra._canonical_tensors.cache_clear()
+            maps._canonical_Q.cache_clear()
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]

@@ -166,6 +166,25 @@ def test_torsion_model_default_scalar_gives_unit_ricci_form():
     assert np.allclose(rep.rho.entries, sp.omega, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_torsion_model_is_the_shared_model_scaled(d):
+    sp = make_space(d, with_torsion=True)
+    can = canonical_tensors(sp)
+
+    def formula(s):
+        return (
+            (s / d**2) * (can.Ic.entries + can.T.entries),
+            (s / d**2) * (can.Ic0.entries / (d + 1) + can.T0.entries),
+        )
+
+    for got, want in zip(torsion_curvature(sp), formula(-2.0 * d)):
+        assert np.array_equal(got.entries, want)  # bit for bit at the default
+    for s in (-4.0, 3.5):
+        for got, want in zip(torsion_curvature(sp, s), formula(s)):
+            assert np.max(np.abs(got.entries - want)) <= 1e-14 * np.max(np.abs(want))
+    assert canonical_tensors(make_space(1, with_torsion=True)).torsion_rw is None
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_ricci_form_wedge_trace_relation(d):
     # the Lefschetz-adjoint trace of the Ricci form is -s/2

@@ -26,11 +26,17 @@ from pherm import (
     scalar_product,
     space_form,
 )
-from pherm import maps
+from pherm import maps, spaces
 from pherm.maps import canonical_q_reference
-from pherm.spaces import KAHLER_TAGS, inner2
+from pherm.spaces import KAHLER_TAGS, bianchi_grid, hat_2form_grid, inner2
 
-from oracles import curvature_terms_einsum, pullback4_einsum, rel_err
+from oracles import (
+    curvature_terms_einsum,
+    pullback4_einsum,
+    q_curvature_einsum,
+    reeb_residual_loops,
+    rel_err,
+)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -56,17 +62,69 @@ def test_canonical_q_frozen_examples():
 
 def test_canonical_q_errors():
     sp = make_space(2)
-    with pytest.raises(ValueError):
-        canonical_Q(sp, "tau_jminus")  # needs torsion
-    with pytest.raises(ValueError):
-        canonical_Q(sp, "companion")  # needs a curvature argument
     rw = model_curvature(build_model("su_pq", (2, 1)))  # d = 2
+    cases = [
+        (sp, "tau_jminus", {}),  # needs torsion
+        (sp, "tau_jplus_primitive", {}),
+        (sp, "companion", {}),  # needs a curvature argument
+        (make_space(3), "companion", {"rw": rw}),
+        (sp, "nonsense", {}),
+        (make_space(1), "jplus_primitive", {}),
+        (make_space(1, with_torsion=True), "tau_jplus_primitive", {}),
+    ]
+    for _ in range(2):  # the cache keeps no failed build: each call raises again
+        for space, variant, kw in cases:
+            with pytest.raises(ValueError):
+                canonical_Q(space, variant, **kw)
+
+
+SPACE_ONLY_VARIANTS = ("jminus", "jplus_primitive", "tau_jminus", "tau_jplus_primitive")
+
+
+@pytest.mark.parametrize("variant", SPACE_ONLY_VARIANTS)
+def test_canonical_q_is_built_once_and_read_only(variant):
+    sp = make_space(3, with_torsion=True)
+    Q = canonical_Q(sp, variant)
+    assert canonical_Q(sp, variant) is Q
+    fresh = maps._canonical_Q.__wrapped__(sp, variant)  # an uncached build
+    assert np.array_equal(Q.entries, fresh.entries)  # bit for bit
+    assert Q.tags == fresh.tags
     with pytest.raises(ValueError):
-        canonical_Q(make_space(3), "companion", rw=rw)
-    with pytest.raises(ValueError):
-        canonical_Q(sp, "nonsense")
-    with pytest.raises(ValueError):
-        canonical_Q(make_space(1), "jplus_primitive")
+        Q.entries[0, 1, 0, 1] = 7.0
+    assert np.array_equal(Q.entries, fresh.entries)
+
+
+def count_tag_checks(monkeypatch) -> list:
+    """The tags `spaces._tag_residual` checks from now on, one per call."""
+    calls, tag_residual = [], spaces._tag_residual
+
+    def counting(space, q, tag):
+        calls.append(tag)
+        return tag_residual(space, q, tag)
+
+    monkeypatch.setattr(spaces, "_tag_residual", counting)
+    return calls
+
+
+@pytest.mark.parametrize("variant", SPACE_ONLY_VARIANTS)
+def test_canonical_q_checks_its_tags_on_the_first_build_only(monkeypatch, variant):
+    sp = dataclasses.replace(make_space(2, with_torsion=True))  # a space of its own
+    canonical_tensors(sp)
+    calls = count_tag_checks(monkeypatch)
+    Q = canonical_Q(sp, variant)
+    assert sorted(calls) == sorted(Q.tags)
+    assert canonical_Q(sp, variant) is Q
+    assert len(calls) == len(Q.tags)
+
+
+def test_warm_identity_suite_proves_few_tags(monkeypatch):
+    # per trial only the random draws and space_form prove tags; the weights
+    # and the torsion model are proven once per space (485 checks when every
+    # canonical_Q and torsion_curvature call built and proved its own)
+    identity_suite(2, 2, trials=10)
+    calls = count_tag_checks(monkeypatch)
+    identity_suite(2, 2, trials=10)
+    assert 0 < len(calls) <= 270
 
 
 def test_canonical_q_companion_variant():
@@ -265,6 +323,38 @@ def test_torsion_model_primitive_part_is_tau_invariant_piece():
         assert np.max(np.abs(primitive_part(rw).entries - expect)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("variant", SPACE_ONLY_VARIANTS)
+def test_canonical_weights_annihilate_omega(d, variant):
+    # why reeb_term_* cannot see the sign of -Q in T = b(Q) - Q: on the
+    # admissible F = -omega (x) v only b(Q)^ omega is nonzero
+    sp = make_space(d, with_torsion=True)
+    Q = canonical_Q(sp, variant).entries
+    assert np.max(np.abs(hat_2form_grid(Q, sp.omega))) <= 1e-15
+    assert np.max(np.abs(hat_2form_grid(bianchi_grid(Q), sp.omega))) >= 0.5
+
+
+@pytest.mark.parametrize("plus", [True, False])
+@pytest.mark.parametrize("d", [2, 3])
+def test_reeb_term_broken_path_matches_loop_oracle(d, plus):
+    # on a general 2-form-valued F the -Q term contributes, so the oracle's
+    # T = b(Q) - Q pins the sign that the admissible path cannot see
+    source, target, fiber = make_space(d, with_torsion=True), make_space(2, with_torsion=True), 2
+    variants = ["jplus_primitive", "tau_jplus_primitive"] if plus else ["jminus", "tau_jminus"]
+    seen = set()
+    for seed in range(6):
+        got = maps._resid_reeb_term(np.random.default_rng(seed), source, target, fiber, True, plus)
+        rng = np.random.default_rng(seed)  # the same draws, in the same order
+        variant = variants[int(rng.integers(2))]
+        v = rng.standard_normal(fiber)
+        F = rng.standard_normal((source.n, source.n, fiber))
+        F = 0.5 * (F - F.transpose(1, 0, 2))
+        want = reeb_residual_loops(canonical_Q(source, variant).entries, F, v, plus)
+        assert rel_err(got, want) <= 1e-12
+        seen.add(variant)
+    assert seen == set(variants)
+
+
 def test_identity_suite_passes():
     rep = identity_suite(2, 2, trials=25, seed=0)
     assert rep.all_passed
@@ -333,6 +423,10 @@ def test_curvature_terms_match_einsum_oracle(d, dp):
         rep = curvature_terms(q, m)
         want = curvature_terms_einsum(q.entries, m.dphi, tgt.J)
         for got, ref in zip((rep.r20, rep.r11, rep.hbk, rep.k), want):
+            assert rel_err(got, ref) <= 1e-12
+        assert len(rep.q_curvature) == (2 if d == 1 else 4)
+        for variant, got in rep.q_curvature.items():
+            ref = q_curvature_einsum(canonical_Q(src, variant).entries, q.entries, m.dphi)
             assert rel_err(got, ref) <= 1e-12
 
 
