@@ -5,11 +5,13 @@ Each file in `tests/golden/` holds the argv, the exit code and the parsed
 JSON report of one run.  A rerun must give the same exit code, the same
 structure and the same non-float values, and every float within
 1e-12 * max(1, |a|, |b|).  To rewrite the golden files from the package on
-the path, run `python tests/test_golden.py`.
+the path, run `python tests/test_golden.py [NAME ...]`; with no names it
+rewrites every file.
 """
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RUNS = {
     "table": ["table"],
+    # the larger rows of the benchmark's table workload, d = 9 to 12
+    "table_large": [
+        "table", "--family", "su_pq", "--params", "3,3", "--family", "sp_p_R", "--params", "4",
+        "--family", "so_p_2", "--params", "8", "--family", "so_star_2p", "--params", "5",
+        "--family", "su_pq", "--params", "4,3",
+    ],
     "model": [
         "model", "--family", "su_pq", "--params", "2,1",
         "--family", "sp_p_R", "--params", "2", "--samples", "50",
@@ -74,6 +82,6 @@ def test_report_matches_golden(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in RUNS.items():
-        text = json.dumps(run(argv), indent=1, sort_keys=True)
+    for name in sys.argv[1:] or RUNS:
+        text = json.dumps(run(RUNS[name]), indent=1, sort_keys=True)
         (GOLDEN / f"{name}.json").write_text(text + "\n", encoding="utf-8")
