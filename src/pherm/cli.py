@@ -11,7 +11,8 @@ Three subcommands:
           only if every suite passes at the configured tolerance.
 
 Exit codes: 0 success, 1 a verify suite failed, 2 a configuration or I/O
-error, 3 a crash (any other exception; its traceback goes to stderr).
+error, 3 a crash (a failed internal check, i.e. ModelError, TagError or
+SpaceMismatchError, or any other exception; its traceback goes to stderr).
 
 Reports are deterministic JSON documents (schema_version "1"); floats are
 serialized in full round-trip precision.
@@ -38,6 +39,7 @@ from .invariants import (
 from .liemodels import (
     FAMILIES,
     OUT_OF_SCOPE_FAMILIES,
+    ModelError,
     _c0_prime,
     build_model,
     closed_form_constants,
@@ -45,7 +47,7 @@ from .liemodels import (
     model_curvature,
 )
 from .maps import IdentityResult, canonical_Q, canonical_q_reference, fold_residuals, identity_suite
-from .spaces import make_space
+from .spaces import SpaceMismatchError, TagError, make_space
 
 SCHEMA_VERSION = "1"
 
@@ -301,6 +303,9 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         run = {"table": cmd_table, "model": cmd_model, "verify": cmd_verify}
         doc = run[config.command](config)
+    except (ModelError, SpaceMismatchError, TagError):  # program faults, not configuration
+        traceback.print_exc()
+        return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

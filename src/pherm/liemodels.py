@@ -61,10 +61,18 @@ def _E(m, i, j):
     return out
 
 
+def _block2(a, b, c, e) -> np.ndarray:
+    """The 2 x 2 block matrix [[a, b], [c, e]] of equal square blocks."""
+    m = a.shape[0]
+    out = np.empty((2 * m, 2 * m), dtype=np.result_type(a, b, c, e))
+    out[:m, :m], out[:m, m:], out[m:, :m], out[m:, m:] = a, b, c, e
+    return out
+
+
 def _realify(M: np.ndarray) -> np.ndarray:
     """Complex m x m matrix as a real 2m x 2m matrix, preserving brackets."""
     A, B = M.real, M.imag
-    return np.block([[A, -B], [B, A]])
+    return _block2(A, -B, B, A)
 
 
 def _su_pq_basis(p: int, q: int):
@@ -91,13 +99,13 @@ def _sp_p_basis(p: int):
     for a in range(p):
         for b in range(a + 1, p):
             A = _E(p, a, b) - _E(p, b, a)
-            l_mats.append(np.block([[A, Z], [Z, A]]))
+            l_mats.append(_block2(A, Z, Z, A))
     for a in range(p):
         for b in range(a, p):
             S = _E(p, a, b) + _E(p, b, a) if a != b else _E(p, a, a)
-            l_mats.append(np.block([[Z, S], [-S, Z]]))
-            p_mats.append(np.block([[Z, S], [S, Z]]))
-            p_mats.append(np.block([[S, Z], [Z, -S]]))
+            l_mats.append(_block2(Z, S, -S, Z))
+            p_mats.append(_block2(Z, S, S, Z))
+            p_mats.append(_block2(S, Z, Z, -S))
     return l_mats, p_mats
 
 
@@ -120,7 +128,7 @@ def _so_star_basis(p: int):
     l_cplx, p_cplx = [], []
 
     def emb(A, B):
-        return np.block([[A, B], [-B.conj(), A.conj()]])
+        return _block2(A, B, -B.conj(), A.conj())
 
     Zp = np.zeros((p, p), dtype=complex)
     for k in range(p):
@@ -217,17 +225,31 @@ def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, fl
 
 
 def _structure_constants(mats: np.ndarray) -> np.ndarray:
+    """C[i, j, k] with [b_i, b_j] = sum_k C[i, j, k] b_k for the (N, m, m)
+    basis b.  Each bracket is formed once, for i < j, and C is filled
+    antisymmetrically from those."""
     N = mats.shape[0]
-    flat = mats.reshape(N, -1).T  # (m^2, N)
-    pinv = np.linalg.pinv(flat)
-    # each dense contraction is one pair: optimize=True hands it to BLAS
-    brackets = np.einsum("iab,jbc->ijac", mats, mats, optimize=True)
-    brackets = brackets - np.einsum("jiac->ijac", brackets)
-    C = np.einsum("ka,ija->ijk", pinv, brackets.reshape(N, N, -1), optimize=True)
+    flat = mats.reshape(N, -1)  # (N, m^2)
+    pinv = np.linalg.pinv(flat.T)
+    iu, ju = np.triu_indices(N, 1)  # row-major, so row i's pairs are contiguous
+    half = np.empty((len(iu),) + mats.shape[1:])
+    start = 0
+    for i in range(N - 1):
+        rows = half[start : start + N - 1 - i]
+        np.matmul(mats[i], mats[i + 1 :], out=rows)
+        rows -= mats[i + 1 :] @ mats[i]
+        start += N - 1 - i
+    half = half.reshape(len(iu), -1)
+    coords = half @ pinv.T
     # basis entries are small integers; the expansion must be essentially exact
-    recon = np.einsum("ijk,kab->ijab", C, mats, optimize=True)
-    if np.max(np.abs(recon - brackets.reshape(N, N, *mats.shape[1:]))) > 1e-9:
+    recon = coords @ flat
+    recon -= half
+    if np.max(np.abs(recon, out=recon)) > 1e-9:
         raise ModelError("brackets do not close on the chosen basis")
+    del half, recon  # each is about as large as C
+    C = np.zeros((N, N, N))
+    C[iu, ju] = coords
+    C[ju, iu] = np.negative(coords, out=coords)
     return C
 
 
@@ -305,25 +327,23 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
 
     # adapted frame, orthonormal for metric_scale * beta restricted to p
     G = metric_scale * K[np.ix_(pi, pi)]
-    es: list[np.ndarray] = []
-    js: list[np.ndarray] = []
+    frame_p = np.zeros((P, P))  # rows (e_1..e_d, Je_1..Je_d); rows not yet filled are zero
+    found = 0
     for k in range(P):
         v = np.zeros(P)
         v[k] = 1.0
         for _ in range(2):  # re-orthogonalize for numerical safety
-            for u in es + js:
-                v = v - (u @ G @ v) * u
+            v -= (frame_p @ (G @ v)) @ frame_p
         nrm2 = v @ G @ v
         if nrm2 < 1e-10:
             continue
         e = v / np.sqrt(nrm2)
-        es.append(e)
-        js.append(Jp @ e)
-        if len(es) == d:
+        frame_p[found], frame_p[d + found] = e, Jp @ e
+        found += 1
+        if found == d:
             break
-    if len(es) != d:
+    if found != d:
         raise ModelError("failed to build an adapted frame of p")
-    frame_p = np.array(es + js)  # (2d, P)
     gram = frame_p @ G @ frame_p.T
     if np.max(np.abs(gram - np.eye(P))) > 1e-9:
         raise ModelError("adapted frame is not orthonormal")
@@ -358,32 +378,28 @@ def _c0_prime(rw: Curv4, s: float) -> float:
     return -4.0 * norm2(rw) / s
 
 
-def _traceless_sym_basis(n: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of traceless symmetric n x n grids."""
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-    for k in range(1, n):
-        diag = np.zeros(n)
-        diag[:k] = 1.0
-        diag[k] = -float(k)
-        mats.append(np.diag(diag) / np.sqrt(k * (k + 1.0)))
-    return np.array(mats)
-
-
 def kappa(rw: Curv4) -> float:
     """Lowest eigenvalue of the curvature quadratic form on traceless
     symmetric horizontal 2-tensors."""
     if not rw.has("pair_symmetric"):
         raise ValueError("kappa requires a pair-symmetric tensor")
     n = rw.space.n
-    basis = _traceless_sym_basis(n)  # (m, n, n)
-    T = np.einsum("ixyj->xyij", rw.entries).reshape(n * n, n * n)
-    flat = basis.reshape(len(basis), -1)
-    M = flat @ T @ flat.T
+    # Frobenius-orthonormal basis: (E_xy + E_yx)/sqrt(2) for x < y, then the
+    # diagonals diag(1, .., 1, -k, 0, ..)/sqrt(k(k+1)), the Helmert rows H
+    xo, yo = np.triu_indices(n, 1)
+    x, y = np.concatenate([xo, np.arange(n)]), np.concatenate([yo, np.arange(n)])
+    H = np.tril(np.ones((n - 1, n))) - np.diag(np.arange(1.0, n), 1)[:-1]
+    H /= np.sqrt(np.arange(1.0, n) * np.arange(2.0, n + 1))[:, None]
+    # the form R(e_i, X, Y, e_j) symmetrised in (x, y) and in (i, j), on pairs
+    q = rw.entries[:, x, y, :]
+    q += rw.entries[:, y, x, :]
+    S = 0.25 * (q[x, :, y] + q[y, :, x])  # (pair ij, pair xy)
+    k = len(xo)
+    M = np.empty((k + n - 1,) * 2)
+    M[:k, :k] = 2.0 * S[:k, :k]
+    M[:k, k:] = np.sqrt(2.0) * S[:k, k:] @ H.T
+    M[k:, :k] = np.sqrt(2.0) * H @ S[k:, :k]
+    M[k:, k:] = H @ S[k:, k:] @ H.T
     M = 0.5 * (M + M.T)
     return float(np.linalg.eigvalsh(M)[0])
 

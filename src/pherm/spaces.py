@@ -219,14 +219,21 @@ def _conjugate(q: np.ndarray, P: SignedPerm, first: int = 0) -> np.ndarray:
     s[x] s[y] q[..., perm[x], perm[y], ...]; it equals the contraction exactly."""
     perm, s = P
     ss = np.multiply.outer(s, s)[(...,) + (None,) * (q.ndim - first - 2)]  # over later slots too
-    return ss * q[(slice(None),) * first + (perm[:, None], perm)]
+    out = q[(slice(None),) * first + (perm[:, None], perm)]  # the gather is a fresh array
+    out *= ss
+    return out
 
 
 def split_average_grid(q: np.ndarray, P: SignedPerm, sign: int) -> np.ndarray:
     """The +/- projection averaging P-conjugation over both slot pairs, for
     a signed permutation P = (perm, s) such as `J_pair` or `tau_pair`."""
+    add = np.add if sign > 0 else np.subtract  # sign * x added, in the same order
     q1 = _conjugate(q, P)
-    return 0.25 * (q + sign * q1 + sign * _conjugate(q, P, 2) + _conjugate(q1, P, 2))
+    out = add(q, q1)
+    add(out, _conjugate(q, P, 2), out=out)
+    out += _conjugate(q1, P, 2)
+    out *= 0.25
+    return out
 
 
 def hat_2form_grid(q: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -305,7 +312,12 @@ def _tag_residual(space: HorizontalSpace, q: np.ndarray, tag: str) -> float:
         return float(np.max(np.abs(hat_2form_grid(q, space.omega) @ space.omega.T)))
     if tag not in _PROJECTORS:
         raise TagError(f"unknown tag {tag!r}")
-    return float(np.max(np.abs(q - _PROJECTORS[tag](space, q))))
+    return _max_abs_diff(q, _PROJECTORS[tag](space, q))
+
+
+def _max_abs_diff(q: np.ndarray, p: np.ndarray) -> float:
+    """max |q - p| for a fresh array p, which it overwrites."""
+    return float(np.max(np.abs(np.subtract(q, p, out=p), out=p)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +339,7 @@ class Curv4:
         scale = float(np.max(np.abs(self.entries), initial=1.0))
         if not np.isfinite(scale):  # a NaN would fail no tolerance comparison
             raise ValueError("entries are not finite")
-        if np.max(np.abs(self.entries - antisym_pairs_grid(self.entries))) > TOL * scale:
+        if _max_abs_diff(self.entries, antisym_pairs_grid(self.entries)) > TOL * scale:
             raise ValueError("entries are not antisymmetric in both slot pairs")
         for tag in self.tags:
             if _tag_residual(self.space, self.entries, tag) > TOL * scale:

@@ -292,6 +292,73 @@ def structure_constants_einsum(mats):
     return C, np.einsum("iab,jba->ij", ads, ads)
 
 
+def structure_constants_loops(mats):
+    """Structure constants C[i, j, k] ([b_i, b_j] = sum_k C[i, j, k] b_k) of
+    a basis of (N, m, m) matrices: one matrix product per ordered pair, and
+    the coordinates of all N^2 brackets from one least-squares solve."""
+    N = mats.shape[0]
+    brackets = np.zeros((N * N, mats[0].size))
+    for i in range(N):
+        for j in range(N):
+            brackets[i * N + j] = (mats[i] @ mats[j] - mats[j] @ mats[i]).ravel()
+    coords, *_ = np.linalg.lstsq(mats.reshape(N, -1).T, brackets.T, rcond=None)
+    return coords.T.reshape(N, N, N)
+
+
+def adapted_frame_loop(G, Jp, d):
+    """The G-orthonormal frame (e_1..e_d, Je_1..Je_d) of p from the standard
+    basis, one vector at a time by Gram-Schmidt against every vector found
+    so far, twice; None if fewer than d vectors survive."""
+    P = G.shape[0]
+    es: list[np.ndarray] = []
+    js: list[np.ndarray] = []
+    for k in range(P):
+        v = np.zeros(P)
+        v[k] = 1.0
+        for _ in range(2):  # re-orthogonalize for numerical safety
+            for u in es + js:
+                v = v - (u @ G @ v) * u
+        nrm2 = v @ G @ v
+        if nrm2 < 1e-10:
+            continue
+        e = v / np.sqrt(nrm2)
+        es.append(e)
+        js.append(Jp @ e)
+        if len(es) == d:
+            break
+    if len(es) != d:
+        return None
+    return np.array(es + js)  # (2d, P)
+
+
+def traceless_sym_basis(n):
+    """Orthonormal (Frobenius) basis of traceless symmetric n x n grids."""
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n))
+            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
+            mats.append(m)
+    for k in range(1, n):
+        diag = np.zeros(n)
+        diag[:k] = 1.0
+        diag[k] = -float(k)
+        mats.append(np.diag(diag) / np.sqrt(k * (k + 1.0)))
+    return np.array(mats)
+
+
+def kappa_dense(q):
+    """Lowest eigenvalue of the form s -> sum_ixyj R(e_i, X, Y, e_j) s_ij s_xy
+    on the dense traceless symmetric basis."""
+    n = q.shape[0]
+    basis = traceless_sym_basis(n)  # (m, n, n)
+    T = np.einsum("ixyj->xyij", q).reshape(n * n, n * n)
+    flat = basis.reshape(len(basis), -1)
+    M = flat @ T @ flat.T
+    M = 0.5 * (M + M.T)
+    return float(np.linalg.eigvalsh(M)[0])
+
+
 def model_curvature_einsum(p_frame, structure, killing, metric_scale):
     W = np.einsum("ai,bj,ijk->abk", p_frame, p_frame, structure)
     return metric_scale * np.einsum("abk,kl,cel->abce", W, killing, W)

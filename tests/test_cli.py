@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -7,9 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import load_workloads
 
 import pherm
-from pherm import algebra, cli, maps, spaces
+from pherm import algebra, cli, liemodels, maps, spaces
 from pherm.cli import (
     RunConfig,
     cmd_model,
@@ -276,14 +276,41 @@ def test_verify_crash_exits_3_not_a_verdict(monkeypatch, capsys, extra):
     assert "Traceback" in err and "TypeError: unsupported operand" in err
 
 
-def load_workloads():
-    """perfbench/workloads.py, loaded by path: perfbench is not a package."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+def test_model_error_exits_3_not_a_configuration_error(monkeypatch, capsys):
+    def broken(mats):
+        raise liemodels.ModelError("brackets do not close on the chosen basis")
+
+    monkeypatch.setattr(liemodels, "_structure_constants", broken)
+    assert main(["table", "--family", "su_pq", "--params", "2,1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "ModelError: brackets do not close" in err
+
+
+@pytest.mark.parametrize("fault", [spaces.TagError, spaces.SpaceMismatchError])
+def test_tag_and_space_errors_exit_3(monkeypatch, capsys, fault):
+    def failing(*args):
+        raise fault("declared tag 'j_plus' fails its projector check")
+
+    monkeypatch.setattr(maps, "_IDENTITIES", (("failing_identity", failing, {}),))
+    assert main(["verify", "--trials", "1", "--dims", "2,2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and f"{fault.__name__}: declared tag" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--family", "su_pqr", "--params", "2,1"],
+        ["table", "--family", "su_pq", "--params", "2"],
+        ["verify", "--trials", "0"],
+    ],
+)
+def test_configuration_errors_still_exit_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_report_is_the_same_with_warm_and_cleared_caches(capsys):

@@ -1,8 +1,16 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pherm import liemodels
 from pherm import (
     FAMILIES,
+    TagError,
     ModelError,
     build_model,
     c0_constant,
@@ -21,7 +29,16 @@ from pherm import (
     space_form,
 )
 
-from oracles import model_curvature_einsum, rel_err, structure_constants_einsum, su11_oracle
+from conftest import load_workloads
+from oracles import (
+    adapted_frame_loop,
+    kappa_dense,
+    model_curvature_einsum,
+    rel_err,
+    structure_constants_einsum,
+    structure_constants_loops,
+    su11_oracle,
+)
 
 # frozen hand values for the signature (1,1) bracket computation
 SU11_COMPONENT = -0.5
@@ -300,3 +317,72 @@ def test_lie_model_matches_einsum_oracle(family, params):
     assert np.all(z[top] > 0)
     if family in ("so_star_2p", "sp_p_R") and L > 1:
         assert np.count_nonzero(top) > 1
+
+
+# the rows of the benchmark's table workload, d = 1 to 12
+TABLE_ROWS = load_workloads().TABLE_MODELS
+
+
+@pytest.mark.parametrize("family,params", TABLE_ROWS)
+def test_structure_constants_are_exactly_antisymmetric(family, params):
+    C = build_model(family, params).structure
+    assert np.array_equal(C, -np.einsum("ijk->jik", C))
+    assert not np.any(np.einsum("iik->ik", C))
+
+
+@pytest.mark.parametrize("family,params", TABLE_ROWS)
+def test_lie_model_kernels_match_loop_oracles(family, params):
+    m = build_model(family, params)
+    assert rel_err(m.structure, structure_constants_loops(m.basis)) <= 1e-12
+    rw = model_curvature(m)
+    assert rel_err(kappa(rw), kappa_dense(rw.entries)) <= 1e-12
+    if m.flat:
+        return
+    L = m.l_dim
+    G = m.metric_scale * m.killing[L:, L:]
+    Jp = np.einsum("i,ikj->jk", m.xi_star, m.structure)[L:, L:]  # ad(xi_star) on p
+    assert rel_err(m.p_frame[:, L:], adapted_frame_loop(G, Jp, m.d)) <= 1e-12
+    assert not np.any(m.p_frame[:, :L])
+
+
+def test_brackets_that_do_not_close_raise(monkeypatch):
+    fam = liemodels._FAMILY_TABLE["su_pq"]
+
+    def dropped(p, q):
+        l_mats, p_mats = fam.basis(p, q)
+        return l_mats[1:], p_mats  # i(E_00 - E_11) lies in [p, p]
+
+    monkeypatch.setitem(liemodels._FAMILY_TABLE, "su_pq", dataclasses.replace(fam, basis=dropped))
+    with pytest.raises(ModelError, match="brackets do not close"):
+        build_model("su_pq", (2, 1))
+
+
+def test_model_curvature_rejects_a_structure_that_breaks_jacobi():
+    m = build_model("su_pq", (2, 1))
+    C = m.structure.copy()
+    L = m.l_dim
+    C[L, L + 1, 0] += 1e-6  # [p_0, p_1] moves along l_0; C stays antisymmetric
+    C[L + 1, L, 0] -= 1e-6
+    with pytest.raises(TagError):
+        model_curvature(dataclasses.replace(m, structure=C))
+
+
+# so(16,2) raises ru_maxrss by about 112 MiB with one BLAS thread and 130 MiB
+# with two; kernels that held all N^2 brackets (N = 153, 18 x 18) took 263 and 315
+BUILD_MEMORY_BUDGET_MIB = 180
+
+
+def test_largest_model_builds_within_memory_budget():
+    # ru_maxrss only grows, so the rise is measured in a fresh process
+    code = (
+        "import resource\n"
+        "from pherm import build_model\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "build_model('so_p_2', (16,))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(liemodels.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) / 1024 < BUILD_MEMORY_BUDGET_MIB  # ru_maxrss is in KiB on Linux
