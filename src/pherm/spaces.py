@@ -220,6 +220,7 @@ def _conjugate(q: np.ndarray, P: SignedPerm, first: int = 0) -> np.ndarray:
     perm, s = P
     ss = np.multiply.outer(s, s)[(...,) + (None,) * (q.ndim - first - 2)]  # over later slots too
     out = q[(slice(None),) * first + (perm[:, None], perm)]  # the gather is a fresh array
+    out = out.astype(np.result_type(out, ss), copy=False)  # an integer grid becomes float
     out *= ss
     return out
 

@@ -277,10 +277,13 @@ def test_slot_contract_matches_einsum_with_vector_and_none_slots():
 def test_split_average_grid_matches_einsum_oracle(d):
     sp = make_space(d, with_torsion=True)
     q = random_curv4(sp, {"pair_symmetric"}, seed=d).entries
+    qi = np.rint(8 * q).astype(int)  # an integer grid is conjugated as a float one
     for pair, P in ((sp.J_pair, sp.J), (sp.tau_pair, sp.tau)):
         for sign in (+1, -1):
             want = split_average_einsum(q, P, sign)
             assert rel_err(split_average_grid(q, pair, sign), want) <= 1e-12
+            want = split_average_grid(qi.astype(float), pair, sign)
+            assert np.array_equal(split_average_grid(qi, pair, sign), want)
 
 
 def _random_signed_permutation(rng, n):
