@@ -10,8 +10,8 @@ import pytest
 from pherm import liemodels
 from pherm import (
     FAMILIES,
-    TagError,
     ModelError,
+    TagError,
     build_model,
     c0_constant,
     c0_prime,
