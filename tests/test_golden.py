@@ -34,6 +34,12 @@ RUNS = {
     ],
     "verify": ["verify", "--trials", "3"],
     "verify_negative_control": ["verify", "--trials", "2", "--negative-control"],
+    # the benchmark's verify workload at seed 7: 10 trials at its three dim pairs
+    "verify_bench": [
+        "verify", "--seed", "7", "--trials", "10", "--dims", "2,2", "--dims", "2,3", "--dims", "3,3",
+    ],
+    # larger grids, n' = 16 at (6, 8), where the suite evaluates more than one block
+    "verify_large": ["verify", "--trials", "4", "--dims", "4,5", "--dims", "6,8"],
 }
 
 
