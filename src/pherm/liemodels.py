@@ -303,8 +303,9 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
 
     # center of l: coefficients z with [z, l] = 0
     sysmat = C[np.ix_(li, li)].reshape(L, -1).T  # rows (j, k), cols i
-    # thin SVD: sysmat has L^2 >= L rows, so sv holds all L singular values
-    _, sv, vt = np.linalg.svd(sysmat, full_matrices=False)
+    # sysmat = QR with R of shape (L, L), as sysmat has L^2 >= L rows; R has
+    # the same singular values and right singular vectors, without the (L^2, L) factor
+    _, sv, vt = np.linalg.svd(np.linalg.qr(sysmat, mode="r"), full_matrices=False)
     null_dim = int(np.sum(sv < 1e-9 * max(1.0, sv[0])))
     if null_dim != 1:
         raise ModelError(f"center of l has dimension {null_dim}, expected 1")
