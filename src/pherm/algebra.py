@@ -73,23 +73,29 @@ def ricci_contraction(q: Curv4) -> Bil2:
     return Bil2(q.space, ric, sym)
 
 
+def _wedge_index(space: HorizontalSpace) -> tuple:
+    """`hat`'s gather from a 4-tensor grid with any leading batch axes:
+    row = image pair (c,d), column = source pair (a,b)."""
+    a, b = np.array(wedge_pairs(space)).T  # first / second index of each pair
+    return ..., a[None, :], b[None, :], a[:, None], b[:, None]
+
+
 def hat(q: Curv4) -> Endo2Forms:
     """Operator induced on wedge 2-vectors, <Q^(X^Y), Z^W> = Q(X,Y,Z,W)."""
-    a, b = np.array(wedge_pairs(q.space)).T  # first / second index of each pair
-    # row = image pair (c,d), column = source pair (a,b)
-    grid = q.entries[a[None, :], b[None, :], a[:, None], b[:, None]]
-    return Endo2Forms(q.space, grid)
+    return Endo2Forms(q.space, q.entries[_wedge_index(q.space)])
 
 
 def unhat(e: Endo2Forms, tags=frozenset()) -> Curv4:
     """Inverse of `hat`: rebuild the 4-tensor from the wedge-basis grid."""
-    space = e.space
-    a, b = np.array(wedge_pairs(space)).T
-    q = np.zeros((space.n,) * 4)
-    q[a[None, :], b[None, :], a[:, None], b[:, None]] = e.entries  # inverse of hat's gather
-    q = q - np.einsum("yxzw->xyzw", q)
-    q = q - np.einsum("xywz->xyzw", q)
-    return Curv4(space, q, frozenset(tags))
+    return Curv4(e.space, _unhat_grid(e.space, e.entries), frozenset(tags))
+
+
+def _unhat_grid(space: HorizontalSpace, e: np.ndarray) -> np.ndarray:
+    """`unhat` on a stack of wedge-basis grids (..., m, m), with no check."""
+    q = np.zeros(e.shape[:-2] + (space.n,) * 4)
+    q[_wedge_index(space)] = e  # inverse of hat's gather
+    q = q - np.einsum("...yxzw->...xyzw", q)
+    return q - np.einsum("...xywz->...xyzw", q)
 
 
 def scalar_product(p: Curv4, q: Curv4) -> float:
@@ -163,9 +169,12 @@ def wedge_adjoint(gamma: Bil2) -> float:
     return wedge_trace(gamma.space, gamma.entries)
 
 
-def two_tensor_j_split(space: HorizontalSpace, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J-invariant / J-anti-invariant parts of a (vector-valued) 2-tensor (`J_pair` gather)."""
-    js = _conjugate(s, space.J_pair)
+def two_tensor_j_split(
+    space: HorizontalSpace, s: np.ndarray, batch: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """J-invariant / J-anti-invariant parts of a (vector-valued) 2-tensor (`J_pair` gather),
+    whose two slots follow its first `batch` axes."""
+    js = _conjugate(s, space.J_pair, batch - s.ndim)
     return 0.5 * (s + js), 0.5 * (s - js)
 
 

@@ -24,10 +24,11 @@ from .spaces import (
     KAHLER_TAGS,
     Bil2,
     Curv4,
-    Endo2Forms,
     HorizontalSpace,
     SpaceMismatchError,
     TOL,
+    _check_curv4,
+    _sample_curv4,
     bianchi_grid,
     complexify,
     dot4,
@@ -35,13 +36,12 @@ from .spaces import (
     inner2,
     kulkarni_grid,
     make_space,
-    random_curv4,
     ring_grid,
     ricci_grid,
     slot_contract,
 )
-from .algebra import canonical_tensors, hat, ring_action, two_tensor_j_split, unhat
-from .invariants import companion_tensor, full_curvature, space_form
+from .algebra import _unhat_grid, _wedge_index, canonical_tensors, hat, ring_action, two_tensor_j_split
+from .invariants import companion_tensor, torsion_minus_part
 
 
 Q_VARIANTS = ("jminus", "jplus_primitive", "companion", "tau_jminus", "tau_jplus_primitive")
@@ -67,29 +67,38 @@ class MapDatum:
             raise ValueError(f"dphi_xi must have shape {(np_,)}")
         if self.nabla_sym.shape != (n, n, np_):
             raise ValueError(f"nabla_sym must have shape {(n, n, np_)}")
-        data = (self.f, self.dphi, self.dphi_xi, self.nabla_sym)
-        if not all(np.isfinite(a).all() for a in data):  # a NaN fails no tolerance check
-            raise ValueError("map data are not finite")
-        if np.max(np.abs(self.nabla_sym - self.nabla_sym.transpose(1, 0, 2))) > TOL:
-            raise ValueError("nabla_sym is not symmetric in its first two slots")
-        if self.is_cr:
-            resid = np.max(np.abs(self.target.J @ self.dphi - self.dphi @ self.source.J))
-            if resid > TOL:
-                raise ValueError("is_cr datum does not intertwine the complex structures")
-            pg = self.dphi.T @ self.target.g @ self.dphi
-            if np.max(np.abs(pg - self.f * self.source.g)) > TOL * max(1.0, self.f):
-                raise ValueError("is_cr datum is not conformal with factor f")
+        _check_map_data(self.source, self.target, self.f, self.dphi, self.dphi_xi, self.nabla_sym, self.is_cr)
 
     @property
     def delta(self) -> np.ndarray:
         """Divergence of the differential, read off the symmetrized
         derivative: delta = -(1/2) tr nabla_sym."""
-        return -0.5 * np.einsum("iik->k", self.nabla_sym)
+        return _delta(self.nabla_sym)
 
-    def full_derivative(self) -> np.ndarray:
-        """(nabla dphi)(X, Y) = (1/2)(nabla_sym - omega (x) dphi_xi)."""
-        anti = -np.einsum("xy,k->xyk", self.source.omega, self.dphi_xi)
-        return 0.5 * (self.nabla_sym + anti)
+
+def _delta(nabla_sym: np.ndarray) -> np.ndarray:
+    return -0.5 * np.einsum("...iik->...k", nabla_sym)
+
+
+def _check_map_data(source, target, f, dphi, dphi_xi, nabla_sym, is_cr: bool) -> None:
+    """Every check of a `MapDatum`, on one datum or on each datum of a stack
+    whose arrays, f too, carry one leading axis."""
+    if not all(np.isfinite(a).all() for a in (f, dphi, dphi_xi, nabla_sym)):
+        raise ValueError("map data are not finite")  # a NaN fails no tolerance check
+    if np.max(np.abs(nabla_sym - np.swapaxes(nabla_sym, -3, -2))) > TOL:
+        raise ValueError("nabla_sym is not symmetric in its first two slots")
+    if is_cr:
+        if np.max(np.abs(target.J @ dphi - dphi @ source.J)) > TOL:
+            raise ValueError("is_cr datum does not intertwine the complex structures")
+        pg = np.swapaxes(dphi, -1, -2) @ target.g @ dphi
+        f = np.asarray(f)[..., None, None]
+        if np.any(np.max(np.abs(pg - f * source.g), axis=(-2, -1)) > TOL * np.maximum(1.0, f[..., 0, 0])):
+            raise ValueError("is_cr datum is not conformal with factor f")
+
+
+def _normals(rngs, *shapes) -> list:
+    """For each shape in turn, one standard normal draw from each generator, stacked."""
+    return [np.stack([rng.standard_normal(shape) for rng in rngs]) for shape in shapes]
 
 
 def random_map_datum(
@@ -99,12 +108,15 @@ def random_map_datum(
     f: float = 1.0,
 ) -> MapDatum:
     """Free horizontal map data (no CR constraint)."""
-    rng = np.random.default_rng(seed)
-    dphi = rng.standard_normal((target.n, source.n))
-    v = rng.standard_normal(target.n)
-    m = rng.standard_normal((source.n, source.n, target.n))
-    m = 0.5 * (m + m.transpose(1, 0, 2))
-    return MapDatum(source, target, f, dphi, v, m, is_cr=False)
+    dphi, v, m = _random_map_data(source, target, [seed])
+    return MapDatum(source, target, f, dphi[0], v[0], m[0], is_cr=False)
+
+
+def _random_map_data(source, target, seeds) -> tuple:
+    """Stacked, unchecked `random_map_datum` arrays, each from its own `default_rng(seed)`."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    dphi, v, m = _normals(rngs, (target.n, source.n), target.n, (source.n, source.n, target.n))
+    return dphi, v, 0.5 * (m + m.transpose(0, 2, 1, 3))
 
 
 def cr_map_datum(
@@ -120,27 +132,30 @@ def cr_map_datum(
     of nabla_sym is the pure-trace term forced by CR-pluriharmonicity, and
     dphi_xi matches the divergence through the complex structure.
     """
+    dphi, v, nabla = _cr_map_data(source, target, np.array([f]), [seed])
+    return MapDatum(source, target, f, dphi[0], v[0], nabla[0], is_cr=True)
+
+
+def _cr_map_data(source, target, f: np.ndarray, seeds) -> tuple:
+    """Stacked, unchecked `cr_map_datum` arrays for factors f, each from its own `default_rng(seed)`."""
     d, dp = source.d, target.d
     if dp < d:
         raise ValueError("target half-dimension must be at least the source one")
-    if not f > 0:
+    if not np.all(f > 0):
         raise ValueError("the conformal factor must be positive")
-    rng = np.random.default_rng(seed)
-    zmat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    U, _ = np.linalg.qr(zmat)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    re, im, v, m = _normals(rngs, (d, d), (d, d), target.n, (source.n, source.n, target.n))
+    U, _ = np.linalg.qr(re + 1j * im)
     twist = np.block([[U.real, -U.imag], [U.imag, U.real]])  # J-commuting isometry
     embed = np.zeros((target.n, source.n))
     embed[:d, :d] = np.eye(d)
     embed[dp : dp + d, d:] = np.eye(d)
-    dphi = np.sqrt(f) * embed @ twist
+    dphi = np.sqrt(f)[:, None, None] * embed @ twist
 
-    v = rng.standard_normal(target.n)
-    delta = -d * (target.J @ v)  # so that J' delta = d dphi_xi
-    m = rng.standard_normal((source.n, source.n, target.n))
-    m = 0.5 * (m + m.transpose(1, 0, 2))
-    _, m_minus = two_tensor_j_split(source, m)
-    nabla = m_minus - np.einsum("xy,k->xyk", source.g, delta) / d
-    return MapDatum(source, target, f, dphi, v, nabla, is_cr=True)
+    delta = -d * (v @ target.J.T)  # so that J' delta = d dphi_xi
+    m = 0.5 * (m + m.transpose(0, 2, 1, 3))
+    _, m_minus = two_tensor_j_split(source, m, 1)
+    return dphi, v, m_minus - np.einsum("xy,...k->...xyk", source.g, delta) / d
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +351,42 @@ class SuiteReport:
         raise KeyError(name)
 
 
-def _resid_qform_traceless_reduction(rng, source, target, fiber, broken):
+def _seeds(rngs) -> np.ndarray:
+    """One rng.integers(2**32) draw per trial: the seed of its random grids."""
+    return np.array([rng.integers(2**32) for rng in rngs])
+
+
+def _weights(source: HorizontalSpace, variants, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's canonical weight grid and its hat trace, picked by one rng.integers draw."""
+    Qs = [canonical_Q(source, v) for v in variants]
+    pick = [int(rng.integers(len(variants))) for rng in rngs]
+    return np.stack([Q.entries for Q in Qs])[pick], np.array([hat(Q).trace for Q in Qs])[pick]
+
+
+def _full(space: HorizontalSpace, rw: np.ndarray) -> np.ndarray:
+    """`full_curvature` of each slice, checked as its Curv4 is."""
+    full = rw + torsion_minus_part(space)
+    _check_curv4(space, full, frozenset(), TOL)
+    return full
+
+
+def _resid_qform_traceless_reduction(rngs, source, target, fiber, broken):
     d, n = source.d, source.n
     if broken:
-        Q = random_curv4(source, {"pair_symmetric"}, rng.integers(2**32))
+        Q = _sample_curv4(source, {"pair_symmetric"}, _seeds(rngs))
+        trq = np.trace(Q[_wedge_index(source)], axis1=-2, axis2=-1)
     else:
-        Q = canonical_Q(source, ("jminus", "jplus_primitive")[int(rng.integers(2))])
-    m = rng.standard_normal((n, n, fiber))
-    m = 0.5 * (m + m.transpose(1, 0, 2))
-    delta = -0.5 * np.einsum("iik->k", m)
-    m0 = m + np.einsum("xy,k->xyk", source.g, delta) / d
-    lhs = inner2(ring_action(Q, m), m)
-    rhs = inner2(ring_action(Q, m0), m0) - hat(Q).trace / d**2 * float(delta @ delta)
-    return abs(lhs - rhs)
+        Q, trq = _weights(source, ("jminus", "jplus_primitive"), rngs)
+    (m,) = _normals(rngs, (n, n, fiber))
+    m = 0.5 * (m + m.transpose(0, 2, 1, 3))
+    delta = _delta(m)
+    m0 = m + np.einsum("xy,...k->...xyk", source.g, delta) / d
+    lhs = inner2(ring_grid(Q, m), m, 1)
+    rhs = inner2(ring_grid(Q, m0), m0, 1) - trq / d**2 * np.vecdot(delta, delta)
+    return np.abs(lhs - rhs)
 
 
-def _resid_reeb_term(rng, source, target, fiber, broken, plus: bool):
+def _resid_reeb_term(rngs, source, target, fiber, broken, plus: bool):
     """<T^ F, F> = -/+ tr(Q^) |v|^2 for T = b(Q) - Q and F = -omega (x) v.
 
     The sign of the -Q term is invisible here: every canonical weight
@@ -360,99 +395,95 @@ def _resid_reeb_term(rng, source, target, fiber, broken, plus: bool):
     The broken path draws a general F, on which -Q does contribute; the
     tests pin the sign there against an oracle.
     """
-    if plus:
-        variants = ["jplus_primitive"] + (["tau_jplus_primitive"] if source.has_torsion else [])
-    else:
-        variants = ["jminus"] + (["tau_jminus"] if source.has_torsion else [])
-    Q = canonical_Q(source, variants[int(rng.integers(len(variants)))])
-    T = bianchi_grid(Q.entries) - Q.entries
-    v = rng.standard_normal(fiber)
+    variants = ("jplus_primitive", "tau_jplus_primitive") if plus else ("jminus", "tau_jminus")
+    Q, trq = _weights(source, variants[: 1 + source.has_torsion], rngs)
+    T = bianchi_grid(Q) - Q
+    (v,) = _normals(rngs, fiber)
     if broken:
-        F = rng.standard_normal((source.n, source.n, fiber))
-        F = 0.5 * (F - F.transpose(1, 0, 2))
+        (F,) = _normals(rngs, (source.n, source.n, fiber))
+        F = 0.5 * (F - F.transpose(0, 2, 1, 3))
     else:
-        F = -np.einsum("xy,k->xyk", source.omega, v)
-    lhs = inner2(hat_2form_grid(T, F), F)
+        F = -np.einsum("xy,...k->...xyk", source.omega, v)
+    lhs = inner2(hat_2form_grid(T, F), F, 1)
     sign = -1.0 if plus else 1.0
-    rhs = sign * hat(Q).trace * float(v @ v)
-    return abs(lhs - rhs)
+    return np.abs(lhs - sign * trq * np.vecdot(v, v))
 
 
-def _resid_pullback_curvature_pairing(rng, source, target, fiber, broken):
-    seed = rng.integers(2**32)
-    Q = random_curv4(source, {"pair_symmetric"}, seed)
-    Rt = random_curv4(target, KAHLER_TAGS, seed + 1)
-    full = full_curvature(Rt).entries
+def _resid_pullback_curvature_pairing(rngs, source, target, fiber, broken):
+    seeds = _seeds(rngs)
+    Q = _sample_curv4(source, {"pair_symmetric"}, seeds)
+    Rt = _sample_curv4(target, KAHLER_TAGS, seeds + 1)
+    full = _full(target, Rt)
     if broken:
-        full = full + random_curv4(
-            target, {"pair_symmetric", "j_minus"}, seed + 2
-        ).entries
-    m = random_map_datum(source, target, seed + 3)
-    D = m.dphi
-    pull_full = slot_contract(full, D, D, D, D)
-    lhs = 0.5 * float(np.einsum("abik,abik->", Q.entries, pull_full))
-    pull_rw = slot_contract(Rt.entries, D, D, D, D)
-    pull_B = D.T @ target.B @ D
-    pull_g = D.T @ target.g @ D
-    rhs = 4.0 * 0.125 * float(np.einsum("abcd,abcd->", Q.entries, pull_rw))
-    rhs -= 2.0 * inner2(ring_action(Q, pull_B), pull_g)
-    return abs(lhs - rhs)
+        full = full + _sample_curv4(target, {"pair_symmetric", "j_minus"}, seeds + 2)
+    D, v, m = _random_map_data(source, target, seeds + 3)
+    _check_map_data(source, target, 1.0, D, v, m, False)
+    Dt = np.swapaxes(D, -1, -2)
+    lhs = 2.0 * dot4(Q, slot_contract(full, D, D, D, D))
+    rhs = 2.0 * dot4(Q, slot_contract(Rt, D, D, D, D))
+    rhs -= 2.0 * inner2(ring_grid(Q, Dt @ target.B @ D), Dt @ target.g @ D, 1)
+    return np.abs(lhs - rhs)
 
 
-def _resid_jplus_torsion_composition(rng, source, target, fiber, broken):
-    seed = rng.integers(2**32)
-    Rs = random_curv4(source, KAHLER_TAGS, seed)
-    Qp = random_curv4(source, {"pair_symmetric", "j_plus"}, seed + 1)
-    if broken:
-        Qp = random_curv4(source, {"pair_symmetric"}, seed + 2)
-    qp = hat(Qp).entries
-    lhs = hat(full_curvature(Rs)).entries @ qp
-    rhs = hat(Rs).entries @ qp
-    return float(np.max(np.abs(lhs - rhs)))
+def _resid_jplus_torsion_composition(rngs, source, target, fiber, broken):
+    seeds = _seeds(rngs)
+    Rs = _sample_curv4(source, KAHLER_TAGS, seeds)
+    tags, shift = ({"pair_symmetric"}, 2) if broken else ({"pair_symmetric", "j_plus"}, 1)
+    Qp = _sample_curv4(source, tags, seeds + shift)
+    wedge = _wedge_index(source)
+    qp = Qp[wedge]
+    lhs = _full(source, Rs)[wedge] @ qp
+    rhs = Rs[wedge] @ qp
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
-def _resid_jminus_torsion_contraction(rng, source, target, fiber, broken):
-    seed = rng.integers(2**32)
-    Rs = random_curv4(source, KAHLER_TAGS, seed)
-    variants = ["jminus", "tau_jminus"]
-    Q = canonical_Q(source, variants[int(rng.integers(2))])
+def _resid_jminus_torsion_contraction(rngs, source, target, fiber, broken):
+    seeds = _seeds(rngs)
+    Rs = _sample_curv4(source, KAHLER_TAGS, seeds)
+    Q, trq = _weights(source, ("jminus", "tau_jminus"), rngs)
     if broken:
         # pollute the J-invariant part: the composition with a J-anti-
         # invariant weight then no longer reduces to the torsion term
-        noise = random_curv4(source, {"pair_symmetric", "j_minus"}, seed + 1)
-        Rs = Curv4(source, Rs.entries + noise.entries)
-    hq = hat(Q)
-    comp = unhat(Endo2Forms(source, hat(full_curvature(Rs)).entries @ hq.entries))
-    c = ricci_grid(comp.entries)
-    lhs = c + c.T
-    trq = hq.trace
-    rhs = 2.0 * ((trq / source.d) * source.B - ring_grid(Q.entries, source.B))
-    return float(np.max(np.abs(lhs - rhs)))
+        Rs = Rs + _sample_curv4(source, {"pair_symmetric", "j_minus"}, seeds + 1)
+    wedge = _wedge_index(source)
+    hq = Q[wedge]
+    comp = _unhat_grid(source, _full(source, Rs)[wedge] @ hq)
+    _check_curv4(source, comp, frozenset(), TOL)  # as `unhat` checks its Curv4
+    c = ricci_grid(comp)
+    lhs = c + np.swapaxes(c, -1, -2)
+    rhs = 2.0 * ((trq / source.d)[:, None, None] * source.B - ring_grid(Q, source.B[None]))
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
-def _resid_cm_spaceform_orthogonality(rng, source, target, fiber, broken):
-    seed = rng.integers(2**32)
-    f = float(rng.uniform(0.5, 2.0))
-    m = cr_map_datum(source, target, f, seed)
-    sf = space_form(target.d, float(rng.uniform(-4.0, -1.0)), target)
+def _resid_cm_spaceform_orthogonality(rngs, source, target, fiber, broken):
+    seeds = _seeds(rngs)
+    f = np.array([rng.uniform(0.5, 2.0) for rng in rngs])
+    D, v, nabla = _cr_map_data(source, target, f, seeds)
+    _check_map_data(source, target, f, D, v, nabla, True)
+    s, dp = np.array([rng.uniform(-4.0, -1.0) for rng in rngs]), target.d
+    # the grid of space_form(d', s), a multiple of the proven I^C of the target
+    sf = (s / (dp * (dp + 1)))[:, None, None, None, None] * canonical_tensors(target).Ic.entries
     can = canonical_tensors(source)
     cm = can.Ic if broken else can.torsion_cm  # I^C is not trace free, pairing survives
-    D = m.dphi
-    return abs(0.5 * dot4(cm.entries, slot_contract(sf.entries, D, D, D, D)))
+    return np.abs(0.5 * dot4(cm.entries, slot_contract(sf, D, D, D, D)))
 
 
-def _resid_cr_structure(rng, source, target, fiber, broken):
-    seed = rng.integers(2**32)
-    f = float(rng.uniform(0.5, 2.0))
-    m = cr_map_datum(source, target, f, seed)
-    v = m.dphi_xi + (rng.standard_normal(target.n) if broken else 0.0)
-    pg = m.dphi.T @ target.g @ m.dphi
-    pB_plus, _ = two_tensor_j_split(source, m.dphi.T @ target.B @ m.dphi)
-    # the skew part of the derivative contracts to d * dphi_xi automatically
-    dJstar = -np.einsum("iak,ai->k", m.full_derivative(), source.J)
-    terms = (target.J @ m.dphi - m.dphi @ source.J, pg - f * source.g, pB_plus)
-    terms += (target.J @ m.delta - source.d * v, dJstar - source.d * v)
-    return float(np.max([np.max(np.abs(t)) for t in terms]))  # unlike max(), keeps a NaN
+def _resid_cr_structure(rngs, source, target, fiber, broken):
+    seeds = _seeds(rngs)
+    f = np.array([rng.uniform(0.5, 2.0) for rng in rngs])
+    D, v0, nabla = _cr_map_data(source, target, f, seeds)
+    _check_map_data(source, target, f, D, v0, nabla, True)
+    v = v0 + (_normals(rngs, target.n)[0] if broken else 0.0)
+    Dt = np.swapaxes(D, -1, -2)
+    pB_plus, _ = two_tensor_j_split(source, Dt @ target.B @ D, 1)
+    # (nabla dphi)(X, Y) = (1/2)(nabla_sym - omega (x) dphi_xi); its skew part
+    # contracts to d * dphi_xi automatically
+    full = 0.5 * (nabla - np.einsum("xy,...k->...xyk", source.omega, v0))
+    dJstar = -np.einsum("...iak,ai->...k", full, source.J)
+    terms = (target.J @ D - D @ source.J, Dt @ target.g @ D - f[:, None, None] * source.g, pB_plus)
+    terms += (_delta(nabla) @ target.J.T - source.d * v, dJstar - source.d * v)
+    # the worst term of each trial; unlike max(), np.max keeps a NaN
+    return np.max([np.max(np.abs(t), axis=tuple(range(1, t.ndim))) for t in terms], axis=0)
 
 
 _IDENTITIES = (
@@ -465,6 +496,11 @@ _IDENTITIES = (
     ("cr_structure_relations", _resid_cr_structure, {}),
     ("cm_spaceform_orthogonality", _resid_cm_spaceform_orthogonality, {}),
 )
+
+
+# bytes of the largest grid a block of trials stacks, one n'^4 float64 target
+# grid per trial: it sets the block size, so large dims never stack every trial
+_BLOCK_BYTES = 2**20
 
 
 def identity_suite(
@@ -482,22 +518,31 @@ def identity_suite(
     targets carry torsion as well so that pullback torsion terms are
     exercised.  With negative_control=True every identity is rerun with one
     admissibility constraint broken and is expected to fail its tolerance.
+    Trial t of identity i draws from `default_rng((seed, t, i))`; the trials
+    are evaluated in blocks on stacked grids, one residual per trial.
     """
     if d < 2:
         raise ValueError("the identity suite requires source half-dimension >= 2")
-    # zero trials check nothing, and an infinite tolerance passes anything
+    if d_prime < d:
+        raise ValueError("target half-dimension must be at least the source one")
+    # an empty fiber makes three identities read 0 = 0, zero trials check
+    # nothing, and an infinite tolerance passes anything
+    if fiber_dim < 1:
+        raise ValueError("fiber_dim must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be positive and finite")
     source = make_space(d, with_torsion=True)
     target = make_space(d_prime, with_torsion=True)
+    block = max(1, _BLOCK_BYTES // (8 * target.n**4))
     results = []
     for ident_index, (name, fn, kw) in enumerate(_IDENTITIES):
         residuals = []
-        for trial in range(trials):
-            rng = np.random.default_rng((seed, trial, ident_index))
-            residuals.append(fn(rng, source, target, fiber_dim, negative_control, **kw))
+        for start in range(0, trials, block):
+            stop = min(start + block, trials)
+            rngs = [np.random.default_rng((seed, trial, ident_index)) for trial in range(start, stop)]
+            residuals.extend(fn(rngs, source, target, fiber_dim, negative_control, **kw))
         label = name + ("_negative_control" if negative_control else "")
         results.append(fold_residuals(label, residuals, tolerance))
     return SuiteReport(results=tuple(results))

@@ -10,6 +10,11 @@ span{Je_i}, which fixes the normalization |tau|^2 = 2d.
 Scalar products follow the 2-form convention throughout: for 2-tensors
 <s, t> = (1/2) sum_ij s_ij t_ij, and for double forms <P, Q> is half the
 trace of the composed induced operators on wedge 2-vectors.
+
+Batch axes: the raw grid kernels act on the trailing slots of a 4-tensor grid
+(..., n, n, n, n) and keep its leading axes, so one call evaluates a stack of
+trials.  A 2-tensor operand of `hat_2form_grid` / `ring_grid` carries the same
+leading axes (of size 1 to share it), its two slots, then any value axes.
 """
 from __future__ import annotations
 
@@ -175,19 +180,22 @@ def torsion_forms(space: HorizontalSpace) -> tuple[Bil2, Bil2]:
 # raw grid operations shared by the container verifiers and the algebra layer
 # ---------------------------------------------------------------------------
 
+_SLOTS = (-4, -3, -2, -1)  # the four slots of a (stacked) 4-tensor grid
+
+
 def antisym_pairs_grid(q: np.ndarray) -> np.ndarray:
     """Project onto tensors antisymmetric in slots (1,2) and (3,4)."""
-    q = 0.5 * (q - np.einsum("yxzw->xyzw", q))
-    return 0.5 * (q - np.einsum("xywz->xyzw", q))
+    q = 0.5 * (q - np.einsum("...yxzw->...xyzw", q))
+    return 0.5 * (q - np.einsum("...xywz->...xyzw", q))
 
 
 def pair_sym_grid(q: np.ndarray) -> np.ndarray:
-    return 0.5 * (q + np.einsum("zwxy->xyzw", q))
+    return 0.5 * (q + np.einsum("...zwxy->...xyzw", q))
 
 
 def bianchi_grid(q: np.ndarray) -> np.ndarray:
     """Cyclic Bianchi sum b(Q)(X,Y,Z,W) = Q(X,Y,Z,W)+Q(Z,X,Y,W)+Q(Y,Z,X,W)."""
-    return q + np.einsum("zxyw->xyzw", q) + np.einsum("yzxw->xyzw", q)
+    return q + np.einsum("...zxyw->...xyzw", q) + np.einsum("...yzxw->...xyzw", q)
 
 
 def bianchi_project_grid(q: np.ndarray) -> np.ndarray:
@@ -198,28 +206,33 @@ def bianchi_project_grid(q: np.ndarray) -> np.ndarray:
 def kahler_bianchi_grid(q: np.ndarray, J: SignedPerm) -> np.ndarray:
     """Orthogonal projection of a pair-symmetric J-invariant tensor onto
     Ker b: it symmetrizes R(Z_i, Zbar_j, Z_k, Zbar_l) in (i, k); J is `J_pair`."""
-    swapped = antisym_pairs_grid(np.einsum("zyxw->xyzw", q))
+    swapped = antisym_pairs_grid(np.einsum("...zyxw->...xyzw", q))
     return 0.5 * q + split_average_grid(pair_sym_grid(swapped), J, +1)
 
 
 def slot_contract(q: np.ndarray, *mats) -> np.ndarray:
     """out[x, y, ...] = sum M0[a, x] M1[b, y] ... q[a, b, ...], contracted
     one slot at a time by two-operand einsums.  A vector removes its slot;
-    None, and every slot past len(mats), is left unchanged."""
+    None, and every slot past len(mats), is left unchanged.  A matrix may be
+    a stack (B, a, x), one per trial; q then has one leading batch axis too
+    (of size 1 to share q), and so does the result."""
     out = q
     for i, m in reversed(list(enumerate(mats))):  # last slot first, so slot i is still slot i
         if m is not None:
-            lead, image = string.ascii_lowercase[:i], "Y" * (m.ndim - 1)  # a vector has no image
-            out = np.einsum(f"{lead}X...,X{image}->{lead}{image}...", out, m)
+            batch = "B" if m.ndim > 2 else ""  # a stack of matrices has a leading batch axis
+            lead, image = string.ascii_lowercase[:i], "Y" * (m.ndim - len(batch) - 1)  # a vector has no image
+            out = np.einsum(f"{batch}{lead}X...,{batch}X{image}->{batch}{lead}{image}...", out, m)
     return out
 
 
-def _conjugate(q: np.ndarray, P: SignedPerm, first: int = 0) -> np.ndarray:
-    """P-conjugation of slots first and first + 1 of q, the index gather
-    s[x] s[y] q[..., perm[x], perm[y], ...]; it equals the contraction exactly."""
+def _conjugate(q: np.ndarray, P: SignedPerm, first: int) -> np.ndarray:
+    """P-conjugation of slots first and first + 1 of q, counted from the end
+    (first <= -2), the index gather s[x] s[y] q[..., perm[x], perm[y], ...];
+    it equals the contraction exactly."""
     perm, s = P
-    ss = np.multiply.outer(s, s)[(...,) + (None,) * (q.ndim - first - 2)]  # over later slots too
-    out = q[(slice(None),) * first + (perm[:, None], perm)]  # the gather is a fresh array
+    later = -first - 2
+    ss = np.multiply.outer(s, s)[(...,) + (None,) * later]  # over later slots too
+    out = q[(..., perm[:, None], perm) + (slice(None),) * later]  # the gather is a fresh array
     out = out.astype(np.result_type(out, ss), copy=False)  # an integer grid becomes float
     out *= ss
     return out
@@ -229,10 +242,10 @@ def split_average_grid(q: np.ndarray, P: SignedPerm, sign: int) -> np.ndarray:
     """The +/- projection averaging P-conjugation over both slot pairs, for
     a signed permutation P = (perm, s) such as `J_pair` or `tau_pair`."""
     add = np.add if sign > 0 else np.subtract  # sign * x added, in the same order
-    q1 = _conjugate(q, P)
+    q1 = _conjugate(q, P, -4)
     out = add(q, q1)
-    add(out, _conjugate(q, P, 2), out=out)
-    out += _conjugate(q1, P, 2)
+    add(out, _conjugate(q, P, -2), out=out)
+    out += _conjugate(q1, P, -2)
     out *= 0.25
     return out
 
@@ -240,27 +253,29 @@ def split_average_grid(q: np.ndarray, P: SignedPerm, sign: int) -> np.ndarray:
 def hat_2form_grid(q: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Induced action on (possibly vector-valued) 2-forms: contract the
     first slot pair, (Q^ gamma)(X,Y) = (1/2) sum_ij Q(e_i,e_j,X,Y) gamma_ij."""
-    return 0.5 * np.einsum("ijxy,ij...->xy...", q, gamma)
+    b = string.ascii_uppercase[: q.ndim - 4]  # the batch axes
+    return 0.5 * np.einsum(f"{b}ijxy,{b}ij...->{b}xy...", q, gamma)
 
 
 def ring_grid(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Curvature action on (possibly vector-valued) 2-tensors:
     (Q0 s)(X,Y) = sum_ij Q(e_i,X,Y,e_j) s_ij."""
-    return np.einsum("ixyj,ij...->xy...", q, s)
+    b = string.ascii_uppercase[: q.ndim - 4]  # the batch axes
+    return np.einsum(f"{b}ixyj,{b}ij...->{b}xy...", q, s)
 
 
 def ricci_grid(q: np.ndarray) -> np.ndarray:
-    return np.einsum("ixiy->xy", q)
+    return np.einsum("...ixiy->...xy", q)
 
 
-def wedge_trace(space: HorizontalSpace, gamma: np.ndarray) -> float:
+def wedge_trace(space: HorizontalSpace, gamma: np.ndarray):
     """Adjoint-Lefschetz trace of a 2-form, (1/2) tr gamma(., J.)."""
-    return 0.5 * float(np.einsum("ab,ba->", gamma, space.J))
+    return 0.5 * np.einsum("...ab,ba->...", gamma, space.J)
 
 
 def sym_product_grid(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    prod = np.einsum("xy,zw->xyzw", h, k)
-    return prod + np.einsum("zwxy->xyzw", prod)
+    prod = np.einsum("...xy,...zw->...xyzw", h, k)
+    return prod + np.einsum("...zwxy->...xyzw", prod)
 
 
 def kulkarni_grid(h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -270,22 +285,27 @@ def kulkarni_grid(h: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def primitive_grid(space: HorizontalSpace, q: np.ndarray) -> np.ndarray:
     d = space.d
-    qw = hat_2form_grid(q, space.omega)
+    qw = hat_2form_grid(q, space.omega[(None,) * (q.ndim - 4)])
     lam = wedge_trace(space, qw)
     core = sym_product_grid(qw, space.omega)
     ww = sym_product_grid(space.omega, space.omega)
-    return q - core / d + lam * ww / (2.0 * d * d)
+    return q - core / d + np.multiply.outer(lam, ww) / (2.0 * d * d)
 
 
-def inner2(s: np.ndarray, t: np.ndarray) -> float:
-    """Half-contraction scalar product of (vector-valued) 2-tensors."""
-    return 0.5 * float(np.sum(s * t))
+def inner2(s: np.ndarray, t: np.ndarray, batch: int = 0):
+    """Half-contraction scalar product of (vector-valued) 2-tensors, one
+    for each index of the first `batch` axes."""
+    return 0.5 * np.sum(s * t, axis=tuple(range(batch, np.ndim(s))))
 
 
-def dot4(p: np.ndarray, q: np.ndarray) -> float:
+def dot4(p: np.ndarray, q: np.ndarray):
     """(1/4) sum p q: the trace of the composed wedge operators when p or q
-    is pair-symmetric, and a sum of squares (never negative) when q = p."""
-    return 0.25 * float(np.einsum("abcd,abcd->", p, q))
+    is pair-symmetric, and a sum of squares (never negative) when q = p.  On
+    stacks, each slice is summed alone: a batched einsum sums a slice of over
+    8192 entries in buffer-sized pieces, so its value would hang on the batch."""
+    if p.ndim == q.ndim == 4:
+        return 0.25 * float(np.einsum("abcd,abcd->", p, q))
+    return np.array([dot4(a, b) for a, b in zip(*np.broadcast_arrays(p, q))])
 
 
 # Each tag's orthogonal projector, in the order `random_curv4` applies them.
@@ -306,19 +326,41 @@ CURV4_TAGS = tuple(_PROJECTORS)
 KAHLER_TAGS = frozenset({"pair_symmetric", "bianchi_closed", "j_plus"})
 
 
-def _tag_residual(space: HorizontalSpace, q: np.ndarray, tag: str) -> float:
+def _tag_residual(space: HorizontalSpace, q: np.ndarray, tag: str) -> np.ndarray:
+    """How far each slice of the stack q is from the tag, in max norm."""
     if tag == "bianchi_closed":
-        return float(np.max(np.abs(bianchi_grid(q))))
+        return np.max(np.abs(bianchi_grid(q)), axis=_SLOTS)
     if tag == "primitive":
-        return float(np.max(np.abs(hat_2form_grid(q, space.omega) @ space.omega.T)))
-    if tag not in _PROJECTORS:
-        raise TagError(f"unknown tag {tag!r}")
+        qw = hat_2form_grid(q, space.omega[(None,) * (q.ndim - 4)])
+        return np.max(np.abs(qw @ space.omega.T), axis=(-2, -1))
     return _max_abs_diff(q, _PROJECTORS[tag](space, q))
 
 
-def _max_abs_diff(q: np.ndarray, p: np.ndarray) -> float:
-    """max |q - p| for a fresh array p, which it overwrites."""
-    return float(np.max(np.abs(np.subtract(q, p, out=p), out=p)))
+def _max_abs_diff(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """max |q - p| over the slots of each slice, for a fresh array p, which it overwrites."""
+    return np.max(np.abs(np.subtract(q, p, out=p), out=p), axis=_SLOTS)
+
+
+def _known_tags(tags: Iterable[str]) -> frozenset:
+    tags = frozenset(tags)
+    unknown = tags - set(CURV4_TAGS)
+    if unknown:
+        raise TagError(f"unknown tags {sorted(unknown)}")
+    return tags
+
+
+def _check_curv4(space: HorizontalSpace, q: np.ndarray, tags: frozenset, tol: float) -> None:
+    """Every check of a `Curv4` on each slice of a stack q (..., n, n, n, n), against tol
+    times the slice's max(1, max |entry|): finite, antisymmetric in both pairs, each tag."""
+    scale = np.max(np.abs(q), axis=_SLOTS, initial=1.0)
+    if not np.all(np.isfinite(scale)):  # a NaN would fail no tolerance comparison
+        raise ValueError("entries are not finite")
+    bound = tol * scale
+    if np.any(_max_abs_diff(q, antisym_pairs_grid(q)) > bound):
+        raise ValueError("entries are not antisymmetric in both slot pairs")
+    for tag in tags:
+        if np.any(_tag_residual(space, q, tag) > bound):
+            raise TagError(f"declared tag {tag!r} fails its projector check")
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,18 +375,8 @@ class Curv4:
         n = self.space.n
         if self.entries.shape != (n, n, n, n):
             raise ValueError(f"expected shape {(n,) * 4}, got {self.entries.shape}")
-        object.__setattr__(self, "tags", frozenset(self.tags))  # no tags added after the check
-        unknown = self.tags - set(CURV4_TAGS)
-        if unknown:
-            raise TagError(f"unknown tags {sorted(unknown)}")
-        scale = float(np.max(np.abs(self.entries), initial=1.0))
-        if not np.isfinite(scale):  # a NaN would fail no tolerance comparison
-            raise ValueError("entries are not finite")
-        if _max_abs_diff(self.entries, antisym_pairs_grid(self.entries)) > TOL * scale:
-            raise ValueError("entries are not antisymmetric in both slot pairs")
-        for tag in self.tags:
-            if _tag_residual(self.space, self.entries, tag) > TOL * scale:
-                raise TagError(f"declared tag {tag!r} fails its projector check")
+        object.__setattr__(self, "tags", _known_tags(self.tags))  # no tags added after the check
+        _check_curv4(self.space, self.entries, self.tags, TOL)
 
     def has(self, tag: str) -> bool:
         return tag in self.tags
@@ -418,26 +450,35 @@ def random_curv4(space: HorizontalSpace, tags: Iterable[str], seed) -> Curv4:
     as does a contradictory set or one that admits only the zero tensor.
     """
     tags = frozenset(tags)
-    unknown = tags - set(CURV4_TAGS)
-    if unknown:
-        raise TagError(f"unknown tags {sorted(unknown)}")
+    q = _sample_curv4(space, tags, [seed])[0]
+    # the sampler ran every Curv4 check on q at 1e-10, stricter than TOL * max(1, |q|) = TOL
+    proven = object.__new__(Curv4)
+    proven.__dict__.update(space=space, entries=q, tags=tags)
+    return proven
+
+
+def _sample_curv4(space: HorizontalSpace, tags: Iterable[str], seeds) -> np.ndarray:
+    """The `random_curv4` grid of each seed, from its own `default_rng(seed)`, stacked,
+    projected, scaled to max |q| = 1 and checked once, slice by slice, at 1e-10."""
+    tags = _known_tags(tags)
     for clash in _CONTRADICTORY:
         if clash <= tags:
             raise TagError(f"contradictory tag set: {sorted(clash)}")
     if ("bianchi_closed" in tags or "primitive" in tags) and "pair_symmetric" not in tags:
         raise TagError("bianchi_closed/primitive projections require pair_symmetric")
 
-    rng = np.random.default_rng(seed)
-    q = antisym_pairs_grid(rng.standard_normal((space.n,) * 4))
+    draws = [np.random.default_rng(seed).standard_normal((space.n,) * 4) for seed in seeds]
+    q = antisym_pairs_grid(np.stack(draws))
     for tag, project in _PROJECTORS.items():
         if tag in tags:
             kahler = tag == "bianchi_closed" and "j_plus" in tags
             q = kahler_bianchi_grid(q, space.J_pair) if kahler else project(space, q)
-    scale = float(np.max(np.abs(q)))
-    if scale < 1e-10:
+    scale = np.max(np.abs(q), axis=_SLOTS, keepdims=True)
+    if np.any(scale < 1e-10):
         raise TagError(f"tag set {sorted(tags)} admits only the zero tensor at d={space.d}")
-    q = q / scale
-    for tag in tags:
-        if _tag_residual(space, q, tag) > 1e-10:
-            raise TagError(f"tag set {sorted(tags)} could not be satisfied jointly")
-    return Curv4(space, q, tags)
+    q /= scale
+    try:
+        _check_curv4(space, q, tags, 1e-10)
+    except TagError as err:
+        raise TagError(f"tag set {sorted(tags)} could not be satisfied jointly") from err
+    return q

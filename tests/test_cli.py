@@ -250,7 +250,8 @@ def test_table_out_of_scope_row_ignores_params():
 
 def test_verify_nan_residual_fails(monkeypatch, capsys):
     nan = float("nan")
-    monkeypatch.setattr(maps, "_IDENTITIES", (("nan_identity", lambda *a: nan, {}),))
+    # an identity gives one residual per trial of each block
+    monkeypatch.setattr(maps, "_IDENTITIES", (("nan_identity", lambda rngs, *a: [nan] * len(rngs), {}),))
     bianchi = iter([nan, 0.0])  # the NaN is not the last trial
     monkeypatch.setattr(cli, "first_bianchi_residual", lambda *a: next(bianchi))
     assert main(["verify", "--trials", "2", "--dims", "2,2"]) == 1
@@ -266,7 +267,7 @@ def test_verify_nan_residual_fails(monkeypatch, capsys):
 def test_verify_crash_exits_3_not_a_verdict(monkeypatch, capsys, extra):
     # exit 1 means "controls detected" under --negative-control, and it is
     # also Python's code for an uncaught exception; a crash gives neither
-    def crash(*args):
+    def crash(rngs, *args):
         raise TypeError("unsupported operand type(s)")
 
     monkeypatch.setattr(maps, "_IDENTITIES", (("crash_identity", crash, {}),))
@@ -289,7 +290,7 @@ def test_model_error_exits_3_not_a_configuration_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("fault", [spaces.TagError, spaces.SpaceMismatchError])
 def test_tag_and_space_errors_exit_3(monkeypatch, capsys, fault):
-    def failing(*args):
+    def failing(rngs, *args):
         raise fault("declared tag 'j_plus' fails its projector check")
 
     monkeypatch.setattr(maps, "_IDENTITIES", (("failing_identity", failing, {}),))
@@ -305,6 +306,7 @@ def test_tag_and_space_errors_exit_3(monkeypatch, capsys, fault):
         ["table", "--family", "su_pqr", "--params", "2,1"],
         ["table", "--family", "su_pq", "--params", "2"],
         ["verify", "--trials", "0"],
+        ["verify", "--dims", "3,2"],
     ],
 )
 def test_configuration_errors_still_exit_2(capsys, argv):

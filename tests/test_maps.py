@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,7 +347,7 @@ def test_reeb_term_broken_path_matches_loop_oracle(d, plus):
     variants = ["jplus_primitive", "tau_jplus_primitive"] if plus else ["jminus", "tau_jminus"]
     seen = set()
     for seed in range(6):
-        got = maps._resid_reeb_term(np.random.default_rng(seed), source, target, fiber, True, plus)
+        (got,) = maps._resid_reeb_term([np.random.default_rng(seed)], source, target, fiber, True, plus)
         rng = np.random.default_rng(seed)  # the same draws, in the same order
         variant = variants[int(rng.integers(2))]
         v = rng.standard_normal(fiber)
@@ -402,6 +406,82 @@ def test_identity_suite_rejects_vacuous_input(kw):
         identity_suite(2, 2, **kw)
 
 
+def spy_identities(monkeypatch) -> list:
+    """Replace the identities by one that records each block it is given."""
+    blocks = []
+
+    def spy(rngs, *args):
+        blocks.append(len(rngs))
+        return np.zeros(len(rngs))
+
+    monkeypatch.setattr(maps, "_IDENTITIES", (("spy", spy, {}),))
+    return blocks
+
+
+@pytest.mark.parametrize("negative_control", [False, True])
+@pytest.mark.parametrize("fiber_dim", [0, -1])
+def test_identity_suite_rejects_an_empty_fiber(monkeypatch, fiber_dim, negative_control):
+    # with no fiber components qform_traceless_reduction and both reeb_term
+    # identities read 0 = 0 and pass, their negative controls too
+    blocks = spy_identities(monkeypatch)
+    with pytest.raises(ValueError, match="fiber_dim"):
+        identity_suite(2, 2, fiber_dim=fiber_dim, negative_control=negative_control)
+    assert blocks == []
+
+
+def test_identity_suite_rejects_a_smaller_target_before_any_identity(monkeypatch):
+    blocks = spy_identities(monkeypatch)
+    with pytest.raises(ValueError, match="target half-dimension"):
+        identity_suite(3, 2)
+    assert blocks == []  # the map data used to raise it after six identities had run
+
+
+def test_identity_suite_evaluates_large_dims_in_blocks(monkeypatch):
+    blocks = spy_identities(monkeypatch)
+    identity_suite(6, 8, trials=5)  # n' = 16: two trials fill a block
+    assert blocks == [2, 2, 1]
+    blocks.clear()
+    identity_suite(3, 3, trials=100)
+    assert blocks == [100]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["admissible", "negative_control"])
+@pytest.mark.parametrize("name, fn, kw", maps._IDENTITIES, ids=[name for name, *_ in maps._IDENTITIES])
+def test_identity_block_gives_the_batch_of_one_residuals(name, fn, kw, broken):
+    source, target = make_space(2, with_torsion=True), make_space(3, with_torsion=True)
+
+    def rngs(trials):
+        return [np.random.default_rng((4, trial, 1)) for trial in trials]
+
+    block = fn(rngs(range(7)), source, target, 3, broken, **kw)
+    one_by_one = np.concatenate([fn(rngs([t]), source, target, 3, broken, **kw) for t in range(7)])
+    assert block.shape == (7,)
+    assert np.all(np.abs(block - one_by_one) <= 1e-12 * np.maximum(1.0, np.abs(one_by_one)))
+
+
+# identity_suite(6, 8, trials=30) raises ru_maxrss by about 11 MiB with one
+# BLAS thread; stacking all 30 n' = 16 trials in one block would not fit
+SUITE_MEMORY_BUDGET_MIB = 48
+
+
+def test_large_identity_suite_runs_within_memory_budget():
+    # ru_maxrss only grows, so the rise is measured in a fresh process
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from pherm import identity_suite\n"
+        "np.random.default_rng(0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert identity_suite(6, 8, trials=30).all_passed\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(maps.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) / 1024 < SUITE_MEMORY_BUDGET_MIB  # ru_maxrss is in KiB on Linux
+
+
 def test_suite_deterministic():
     a = identity_suite(2, 3, trials=5, seed=7)
     b = identity_suite(2, 3, trials=5, seed=7)
@@ -444,7 +524,11 @@ def test_map_data_reject_non_finite_values():
 
 def test_identity_suite_nan_residual_fails(monkeypatch):
     resids = iter([0.0, float("nan"), 0.0])  # the NaN is not the last trial
-    monkeypatch.setattr(maps, "_IDENTITIES", (("nan_identity", lambda *a: next(resids), {}),))
+
+    def nan_identity(rngs, *args):  # one residual per trial of the block
+        return np.array([next(resids) for _ in rngs])
+
+    monkeypatch.setattr(maps, "_IDENTITIES", (("nan_identity", nan_identity, {}),))
     (res,) = identity_suite(2, 2, trials=3).results
     assert math.isnan(res.max_residual)
     assert not res.passed
@@ -452,7 +536,8 @@ def test_identity_suite_nan_residual_fails(monkeypatch):
 
 def test_cr_structure_residual_keeps_a_nan(monkeypatch):
     # a NaN in one of its terms, not the first, must reach the residual
-    monkeypatch.setattr(maps, "two_tensor_j_split", lambda space, s: (np.full_like(s, np.nan), s))
+    monkeypatch.setattr(maps, "two_tensor_j_split", lambda space, s, batch=0: (np.full_like(s, np.nan), s))
     source, target = make_space(2, with_torsion=True), make_space(3, with_torsion=True)
-    resid = maps._resid_cr_structure(np.random.default_rng(0), source, target, 1, False)
-    assert math.isnan(resid)
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    resid = maps._resid_cr_structure(rngs, source, target, 1, False)
+    assert resid.shape == (3,) and np.isnan(resid).all()

@@ -17,7 +17,7 @@ from pherm.spaces import (
     slot_contract,
     split_average_grid,
 )
-from pherm import spaces
+from pherm import algebra, spaces
 from pherm.algebra import hat, unhat
 
 from oracles import random_curv4_loop, rel_err, split_average_einsum, unhat_loops
@@ -361,3 +361,90 @@ def test_curv4_tags_are_frozen():
     with pytest.raises(AttributeError):
         c.tags.add("j_plus")
     assert c.tags == {"pair_symmetric"}
+
+
+# every raw kernel that takes leading batch axes, as f(q, s2, s3, D, batch):
+# q a 4-tensor grid, s2 / s3 a 2-tensor and a vector-valued 2-tensor, D a
+# matrix, each with the batch axis or a slice of it; batch counts its axes
+_SP = make_space(3, with_torsion=True)
+BATCHED_KERNELS = {
+    "antisym_pairs_grid": lambda q, s2, s3, D, b: spaces.antisym_pairs_grid(q),
+    "pair_sym_grid": lambda q, s2, s3, D, b: spaces.pair_sym_grid(q),
+    "bianchi_grid": lambda q, s2, s3, D, b: bianchi_grid(q),
+    "bianchi_project_grid": lambda q, s2, s3, D, b: spaces.bianchi_project_grid(q),
+    "kahler_bianchi_grid": lambda q, s2, s3, D, b: spaces.kahler_bianchi_grid(q, _SP.J_pair),
+    "conjugate_first_pair": lambda q, s2, s3, D, b: spaces._conjugate(q, _SP.J_pair, -4),
+    "conjugate_last_pair": lambda q, s2, s3, D, b: spaces._conjugate(q, _SP.tau_pair, -2),
+    "split_average_grid_j": lambda q, s2, s3, D, b: split_average_grid(q, _SP.J_pair, +1),
+    "split_average_grid_tau": lambda q, s2, s3, D, b: split_average_grid(q, _SP.tau_pair, -1),
+    "hat_2form_grid": lambda q, s2, s3, D, b: spaces.hat_2form_grid(q, s2),
+    "hat_2form_grid_vector": lambda q, s2, s3, D, b: spaces.hat_2form_grid(q, s3),
+    "ring_grid": lambda q, s2, s3, D, b: spaces.ring_grid(q, s2),
+    "ring_grid_vector": lambda q, s2, s3, D, b: spaces.ring_grid(q, s3),
+    "ricci_grid": lambda q, s2, s3, D, b: spaces.ricci_grid(q),
+    "primitive_grid": lambda q, s2, s3, D, b: spaces.primitive_grid(_SP, q),
+    "dot4": lambda q, s2, s3, D, b: spaces.dot4(q, spaces.pair_sym_grid(q)),
+    "inner2": lambda q, s2, s3, D, b: spaces.inner2(s3, s3, b),
+    "slot_contract": lambda q, s2, s3, D, b: slot_contract(q, D, D, D, D),
+    "tag_residual_j_plus": lambda q, s2, s3, D, b: spaces._tag_residual(_SP, q, "j_plus"),
+    "tag_residual_primitive": lambda q, s2, s3, D, b: spaces._tag_residual(_SP, q, "primitive"),
+    "hat_gather": lambda q, s2, s3, D, b: q[algebra._wedge_index(_SP)],
+    "unhat_grid": lambda q, s2, s3, D, b: algebra._unhat_grid(_SP, q[algebra._wedge_index(_SP)]),
+    "two_tensor_j_split": lambda q, s2, s3, D, b: algebra.two_tensor_j_split(_SP, s3, b)[1],
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BATCHED_KERNELS))
+def test_kernel_on_a_stack_is_the_stack_of_its_slices(kernel):
+    f, n = BATCHED_KERNELS[kernel], _SP.n
+    rng = np.random.default_rng(11)
+    q, s2, s3, D = (rng.standard_normal(s) for s in ((3, n, n, n, n), (3, n, n), (3, n, n, 2), (3, n, 5)))
+    slices = [f(q[i], s2[i], s3[i], D[i], 0) for i in range(3)]
+    assert np.array_equal(f(q, s2, s3, D, 1), np.stack(slices))  # bit for bit
+
+
+def _perturb_one_kahler_slice(monkeypatch, index, change):
+    """Make the sampler's last Kahler projection step hand back slice `index`
+    changed; the checks never call that step, so they see the change."""
+    project = spaces.kahler_bianchi_grid
+
+    def perturbed(q, J):
+        out = project(q, J)
+        out[index] = change(out[index])
+        return out
+
+    monkeypatch.setattr(spaces, "kahler_bianchi_grid", perturbed)
+
+
+def test_sampler_checks_each_slice_of_a_stack_against_its_tags(monkeypatch):
+    sp = make_space(2, with_torsion=True)
+    assert spaces._sample_curv4(sp, KAHLER, range(5)).shape == (5,) + (sp.n,) * 4
+    # g % A is pair-symmetric and Bianchi closed but J-anti-invariant
+    off = spaces.kulkarni_grid(sp.g, sp.A)
+    _perturb_one_kahler_slice(monkeypatch, 3, lambda q: q + 1e-6 * off)
+    with pytest.raises(TagError, match="could not be satisfied jointly") as err:
+        spaces._sample_curv4(sp, KAHLER, range(5))
+    assert "'j_plus'" in str(err.value.__cause__)
+
+
+def test_sampler_rejects_a_stack_with_one_nan_slice(monkeypatch):
+    sp = make_space(2, with_torsion=True)
+
+    def with_nan(q):
+        q[0, 1, 0, 1] = np.nan
+        return q
+
+    _perturb_one_kahler_slice(monkeypatch, 2, with_nan)
+    with pytest.raises(ValueError, match="not finite"):
+        spaces._sample_curv4(sp, KAHLER, range(5))
+
+
+def test_random_curv4_is_the_sampler_slice_checked_once(monkeypatch):
+    sp = make_space(3, with_torsion=True)
+    stack = spaces._sample_curv4(sp, KAHLER, [4, 9])
+    calls = []
+    check = spaces._check_curv4
+    monkeypatch.setattr(spaces, "_check_curv4", lambda *a: calls.append(a[3]) or check(*a))
+    q = random_curv4(sp, KAHLER, 9)
+    assert calls == [1e-10]  # the sampler's joint check, stricter than TOL; no second check
+    assert np.array_equal(q.entries, stack[1]) and q.tags == KAHLER
