@@ -433,7 +433,7 @@ def test_identity_suite_rejects_a_smaller_target_before_any_identity(monkeypatch
     blocks = spy_identities(monkeypatch)
     with pytest.raises(ValueError, match="target half-dimension"):
         identity_suite(3, 2)
-    assert blocks == []  # the map data used to raise it after six identities had run
+    assert blocks == []  # not left to the CR map data of the seventh identity
 
 
 def test_identity_suite_evaluates_large_dims_in_blocks(monkeypatch):
