@@ -32,6 +32,12 @@ RUNS = {
         "model", "--family", "su_pq", "--params", "2,1",
         "--family", "sp_p_R", "--params", "2", "--samples", "50",
     ],
+    # the benchmark's model workload at seed 7: 1000 samples at d = 2, 4, 6, 6
+    "model_bench": [
+        "model", "--samples", "1000", "--seed", "7", "--family", "su_pq", "--params", "2,1",
+        "--family", "su_pq", "--params", "2,2", "--family", "sp_p_R", "--params", "3",
+        "--family", "su_pq", "--params", "3,2",
+    ],
     "verify": ["verify", "--trials", "3"],
     "verify_negative_control": ["verify", "--trials", "2", "--negative-control"],
     # the benchmark's verify workload at seed 7: 10 trials at its three dim pairs
