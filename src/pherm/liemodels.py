@@ -244,8 +244,11 @@ def _structure_constants(mats: np.ndarray) -> np.ndarray:
     # basis entries are small integers; the expansion must be essentially exact
     recon = coords @ flat
     recon -= half
-    if np.max(np.abs(recon, out=recon)) > 1e-9:
-        raise ModelError("brackets do not close on the chosen basis")
+    resid = np.max(np.abs(recon, out=recon))
+    if resid > 1e-9:
+        raise ModelError(
+            f"brackets do not close on the chosen basis: max |residual| {resid:.1e} > 1e-09"
+        )
     del half, recon  # each is about as large as C
     C = np.zeros((N, N, N))
     C[iu, ju] = coords
@@ -265,10 +268,13 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
     mats = np.array(l_mats + p_mats, dtype=float)
     L, P = len(l_mats), len(p_mats)
     if P % 2:
-        raise ModelError("odd horizontal dimension")
+        raise ModelError(f"odd horizontal dimension {P}")
     d = P // 2
     if d != fam.half_dim(*params):
-        raise ModelError("horizontal dimension disagrees with the family table")
+        raise ModelError(
+            f"horizontal half-dimension {d} disagrees with the family table's "
+            f"{fam.half_dim(*params)}"
+        )
 
     C = _structure_constants(mats)
     ads = np.einsum("ijk->ikj", C)  # ad_i as a matrix acting on coordinates
@@ -286,29 +292,39 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
     pi = np.arange(L, L + P)
 
     # bracket closure of the symmetric pair
-    if np.max(np.abs(C[np.ix_(li, li, pi)])) > 1e-9:
-        raise ModelError("[l, l] leaves l")
-    if np.max(np.abs(C[np.ix_(li, pi, li)])) > 1e-9:
-        raise ModelError("[l, p] leaves p")
-    if np.max(np.abs(C[np.ix_(pi, pi, pi)])) > 1e-9:
-        raise ModelError("[p, p] leaves l")
+    for what, block in (
+        ("[l, l] leaves l", (li, li, pi)),
+        ("[l, p] leaves p", (li, pi, li)),
+        ("[p, p] leaves l", (pi, pi, pi)),
+    ):
+        resid = np.max(np.abs(C[np.ix_(*block)]))
+        if resid > 1e-9:
+            raise ModelError(f"{what}: max |C| {resid:.1e} > 1e-09")
 
     # definiteness of the Killing form on both parts
     ev_l = np.linalg.eigvalsh(0.5 * (K[np.ix_(li, li)] + K[np.ix_(li, li)].T))
     ev_p = np.linalg.eigvalsh(0.5 * (K[np.ix_(pi, pi)] + K[np.ix_(pi, pi)].T))
     if ev_l.max() > -1e-9:
-        raise ModelError("Killing form is not negative definite on l")
+        raise ModelError(
+            f"Killing form is not negative definite on l: max eigenvalue {ev_l.max():.1e} > -1e-09"
+        )
     if ev_p.min() < 1e-9:
-        raise ModelError("Killing form is not positive definite on p")
+        raise ModelError(
+            f"Killing form is not positive definite on p: min eigenvalue {ev_p.min():.1e} < 1e-09"
+        )
 
     # center of l: coefficients z with [z, l] = 0
     sysmat = C[np.ix_(li, li)].reshape(L, -1).T  # rows (j, k), cols i
     # sysmat = QR with R of shape (L, L), as sysmat has L^2 >= L rows; R has
     # the same singular values and right singular vectors, without the (L^2, L) factor
     _, sv, vt = np.linalg.svd(np.linalg.qr(sysmat, mode="r"), full_matrices=False)
-    null_dim = int(np.sum(sv < 1e-9 * max(1.0, sv[0])))
+    null_bound = 1e-9 * max(1.0, sv[0])
+    null_dim = int(np.sum(sv < null_bound))
     if null_dim != 1:
-        raise ModelError(f"center of l has dimension {null_dim}, expected 1")
+        raise ModelError(
+            f"center of l has dimension {null_dim}, expected 1: smallest singular values "
+            f"{', '.join(f'{v:.1e}' for v in sv[-2:])} against the bound {null_bound:.1e}"
+        )
     z = vt[-1]
     if z[np.argmax(np.abs(z))] < 0:
         z = -z  # deterministic orientation
@@ -319,8 +335,12 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
     S = ad_z[np.ix_(pi, pi)]
     S2 = S @ S
     c2 = -np.trace(S2) / P
-    if c2 <= 0 or np.max(np.abs(S2 + c2 * np.eye(P))) > 1e-8 * c2:
-        raise ModelError("ad of the center element does not square to a multiple of -Id on p")
+    resid = np.max(np.abs(S2 + c2 * np.eye(P)))
+    if c2 <= 0 or resid > 1e-8 * c2:
+        raise ModelError(
+            "ad of the center element does not square to a multiple of -Id on p: "
+            f"c2 {c2:.1e} (must be > 0), max |S^2 + c2 Id| {resid:.1e} > 1e-08 c2"
+        )
     scale = 1.0 / np.sqrt(c2)
     xi = np.zeros(L + P)
     xi[:L] = scale * z
@@ -344,10 +364,14 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
         if found == d:
             break
     if found != d:
-        raise ModelError("failed to build an adapted frame of p")
+        raise ModelError(
+            f"failed to build an adapted frame of p: {found} of {d} vectors above the "
+            "squared-norm floor 1e-10"
+        )
     gram = frame_p @ G @ frame_p.T
-    if np.max(np.abs(gram - np.eye(P))) > 1e-9:
-        raise ModelError("adapted frame is not orthonormal")
+    resid = np.max(np.abs(gram - np.eye(P)))
+    if resid > 1e-9:
+        raise ModelError(f"adapted frame is not orthonormal: max |gram - I| {resid:.1e} > 1e-09")
     frame = np.zeros((P, L + P))
     frame[:, L:] = frame_p
 

@@ -353,7 +353,36 @@ def test_brackets_that_do_not_close_raise(monkeypatch):
         return l_mats[1:], p_mats  # i(E_00 - E_11) lies in [p, p]
 
     monkeypatch.setitem(liemodels._FAMILY_TABLE, "su_pq", dataclasses.replace(fam, basis=dropped))
-    with pytest.raises(ModelError, match="brackets do not close"):
+    with pytest.raises(ModelError, match=r"brackets do not close .*: max \|residual\| \S+ > 1e-09"):
+        build_model("su_pq", (2, 1))
+
+
+def _swap_l0_p0(l_mats, p_mats):
+    return p_mats[:1] + l_mats[1:], l_mats[:1] + p_mats[1:]
+
+
+def _shift_p_by_l0(l_mats, p_mats):
+    return l_mats, p_mats[:2] + [m + l_mats[0] for m in p_mats[2:]]
+
+
+# each message names the invariant, the measured value and the bound
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (_swap_l0_p0, r"\[l, l\] leaves l: max \|C\| 2\.0e\+00 > 1e-09"),
+        (_shift_p_by_l0, r"\[l, p\] leaves p: max \|C\| 2\.0e\+00 > 1e-09"),
+        (lambda l_mats, p_mats: (l_mats, p_mats[:-1]), r"odd horizontal dimension 3"),
+        (
+            lambda l_mats, p_mats: (l_mats, p_mats[:-2]),
+            r"horizontal half-dimension 1 disagrees with the family table's 2",
+        ),
+    ],
+)
+def test_model_errors_carry_residual_and_bound(monkeypatch, change, message):
+    fam = liemodels._FAMILY_TABLE["su_pq"]
+    basis = dataclasses.replace(fam, basis=lambda p, q: change(*fam.basis(p, q)))
+    monkeypatch.setitem(liemodels._FAMILY_TABLE, "su_pq", basis)
+    with pytest.raises(ModelError, match=message):
         build_model("su_pq", (2, 1))
 
 
