@@ -9,6 +9,7 @@ sectional / holomorphic / complex sectional curvatures.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,7 @@ from .spaces import (
     sym_product_grid,
     TOL,
 )
-from .algebra import canonical_tensors, norm2, traceless_part, wedge_adjoint
+from .algebra import canonical_tensors, hat, norm2, traceless_part, wedge_adjoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +62,7 @@ def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
     curvatures (deterministic in the seed).
     """
     _require_admissible(rw)
+    _sample_count(samples, least=0)
     space = rw.space
     d = space.d
     if d < 2:
@@ -209,14 +211,35 @@ def first_bianchi_residual(rh: Curv4, space: Optional[HorizontalSpace] = None) -
 _BLOCK = 64  # planes per batched draw; one 1000-plane block raised peak memory by 17 %
 
 
-def _plane_pairing(q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """q(X, Y, conj X, conj Y) for every row of the (k, n) arrays X and Y."""
-    k, n = X.shape
-    xy = (X[:, :, None] * Y[:, None, :]).reshape(k, n * n)
-    # one (k, n^2) by (n^2, n^2) product: optimize=True hands it to BLAS, and
-    # as an einsum it stays in the perfbench tracer's einsum counts
-    qxy = np.einsum("kA,AB->kB", xy, q.reshape(n * n, n * n), optimize=True)
-    return np.einsum("kB,kB->k", qxy, xy.conj())
+def _sample_count(n, least: int) -> int:
+    """n as an int; a bool, a non-integral count or n < least is rejected."""
+    if isinstance(n, bool) or not hasattr(n, "__index__") or n < least:
+        raise ValueError(f"sample count must be an integer >= {least}, got {n!r}")
+    return operator.index(n)
+
+
+def _wedge_op(rw: Curv4) -> tuple:
+    """(hat(rw).entries, a, b), with (a, b) the pairs of `wedge_pairs` in order."""
+    return (hat(rw).entries, *np.triu_indices(rw.space.n, 1))
+
+
+def _plane_pairing(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """q(X, Y, conj X, conj Y) for every row of the (k, n) arrays X and Y,
+    where op = `_wedge_op(q)`.
+
+    q is antisymmetric in each slot pair, so only the wedge components
+    w_ab = X_a Y_b - X_b Y_a (a < b) enter: q(X, Y, conj X, conj Y) =
+    sum_(ab, cd) w_ab hat(q)[cd, ab] conj(w_cd), one real (k, m) by (m, m)
+    product with m = n(n-1)/2.  A complex w enters it as [Re w; Im w].
+    """
+    qhat, a, b = op
+    w = X[:, a] * Y[:, b] - X[:, b] * Y[:, a]
+    if np.iscomplexobj(w):
+        p = np.concatenate((w.real, w.imag)) @ qhat.T
+        p = p[: len(w)] + 1j * p[len(w) :]
+    else:
+        p = w @ qhat.T
+    return np.vecdot(w, p)  # vecdot conjugates w
 
 
 def _plane_norm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -226,19 +249,19 @@ def _plane_norm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return xx * yy - np.abs(np.einsum("kx,kx->k", X, Y.conj())) ** 2
 
 
-def _plane_curvatures(rw: Curv4, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _plane_curvatures(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Curvatures of the non-degenerate planes among the rows of X, Y, in
     row order; degenerate planes are dropped."""
     den = _plane_norm(X, Y)
     keep = den > 1e-14
-    num = _plane_pairing(rw.entries, X[keep], Y[keep])
+    num = _plane_pairing(op, X[keep], Y[keep])
     if np.any(np.abs(num.imag) > TOL * np.maximum(1.0, np.abs(num.real))):
         raise ArithmeticError("complex sectional value is not real")
     return num.real / den[keep]
 
 
 def _one_plane(rw: Curv4, X: np.ndarray, Y: np.ndarray, degenerate: str) -> float:
-    vals = _plane_curvatures(rw, np.asarray(X)[None], np.asarray(Y)[None])
+    vals = _plane_curvatures(_wedge_op(rw), np.asarray(X)[None], np.asarray(Y)[None])
     if not vals.size:
         raise ValueError(degenerate)
     return float(vals[0])
@@ -261,9 +284,9 @@ def complex_sectional(rw: Curv4, Z: np.ndarray, W: np.ndarray) -> float:
 
 def sample_curvatures(rw: Curv4, n: int = 1000, seed: int = 0) -> dict:
     """Deterministically sampled (min, max) curvature ranges."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    n = _sample_count(n, least=1)
     rng = np.random.default_rng(seed)
+    op = _wedge_op(rw)
     dim = rw.space.n
     Jt = rw.space.J.T
 
@@ -291,7 +314,7 @@ def sample_curvatures(rw: Curv4, n: int = 1000, seed: int = 0) -> dict:
     for name, planes in draws:
         vals, got = [], 0
         while got < n:
-            vals.append(_plane_curvatures(rw, *planes(min(_BLOCK, n - got))))
+            vals.append(_plane_curvatures(op, *planes(min(_BLOCK, n - got))))
             got += vals[-1].size
         vals = np.concatenate(vals)
         out[name] = (float(vals.min()), float(vals.max()))

@@ -2,7 +2,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests replay one fixed, bounded set of examples on every run
+settings.register_profile("pherm", derandomize=True, deadline=None, max_examples=30, database=None)
+settings.load_profile("pherm")
 
 
 def load_workloads():

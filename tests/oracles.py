@@ -233,8 +233,13 @@ def sectional_einsum(q, X, Y):
     return num / ((X @ X) * (Y @ Y) - (X @ Y) ** 2)
 
 
+def complex_pairing_einsum(q, Z, W):
+    """q(Z, W, conj Z, conj W); not real when q is not pair symmetric."""
+    return np.einsum("xyzw,x,y,z,w->", q, Z, W, Z.conj(), W.conj())
+
+
 def complex_sectional_einsum(q, Z, W):
-    num = np.einsum("xyzw,x,y,z,w->", q, Z, W, Z.conj(), W.conj())
+    num = complex_pairing_einsum(q, Z, W)
     den = np.real(Z @ Z.conj()) * np.real(W @ W.conj()) - abs(Z @ W.conj()) ** 2
     return num.real / den
 

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pherm import (
     canonical_tensors,
@@ -21,9 +25,15 @@ from pherm import (
     torsion_curvature,
 )
 from pherm.invariants import torsion_minus_part
-from pherm.spaces import KAHLER_TAGS, Curv4, antisym_pairs_grid, kulkarni_grid
+from pherm.spaces import KAHLER_TAGS, TOL, Curv4, antisym_pairs_grid, kulkarni_grid
 
-from oracles import complex_sectional_einsum, rel_err, sample_curvatures_loop, sectional_einsum
+from oracles import (
+    complex_pairing_einsum,
+    complex_sectional_einsum,
+    rel_err,
+    sample_curvatures_loop,
+    sectional_einsum,
+)
 
 
 def _starred_wedge(u, v):
@@ -334,3 +344,100 @@ def test_non_pair_symmetric_tensor_has_no_real_complex_sectional():
         complex_sectional(q, Z, W)
     with pytest.raises(ArithmeticError, match="not real"):
         sample_curvatures(q, n=10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1, -3])
+def test_invariants_rejects_a_negative_sample_count(bad):
+    # a negative count would skip the curvature-sign ranges without a word
+    with pytest.raises(ValueError, match="sample count must be an integer >= 0"):
+        invariants(space_form(2, -6.0), samples=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -2])
+def test_sample_curvatures_rejects_a_count_below_one(bad):
+    with pytest.raises(ValueError, match="sample count must be an integer >= 1"):
+        sample_curvatures(space_form(2, -6.0), n=bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 2.5, 3.0, np.float64(2.0), "3"])
+def test_sample_counts_must_be_integral(bad):
+    rw = space_form(2, -6.0)
+    with pytest.raises(ValueError, match="sample count must be an integer"):
+        sample_curvatures(rw, n=bad)
+    with pytest.raises(ValueError, match="sample count must be an integer"):
+        invariants(rw, samples=bad)
+
+
+def test_numpy_integer_sample_counts_are_accepted():
+    rw = space_form(2, -6.0)
+    assert sample_curvatures(rw, n=np.int64(20), seed=3) == sample_curvatures(rw, n=20, seed=3)
+    assert invariants(rw, samples=np.int32(20)).sectional_range is not None
+
+
+# ---------------------------------------------------------------------------
+# property tests of the plane pairing (Hypothesis profile in conftest.py)
+# ---------------------------------------------------------------------------
+
+_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+def _curvature(d, seed, kahler):
+    """A random Kaehler tensor, or one antisymmetric in each slot pair only."""
+    sp = make_space(d)
+    if kahler:
+        return random_curv4(sp, KAHLER_TAGS, seed=seed)
+    grid = np.random.default_rng(seed).standard_normal((sp.n,) * 4)
+    return Curv4(sp, antisym_pairs_grid(grid))
+
+
+def _draw_plane(data, n, complex_):
+    v = data.draw(arrays(np.float64, (4 if complex_ else 2, n), elements=_UNIT, fill=st.nothing()))
+    X, Y = (v[0] + 1j * v[1], v[2] + 1j * v[3]) if complex_ else (v[0], v[1])
+    xx, yy = np.real(X @ X.conj()), np.real(Y @ Y.conj())
+    gram = xx * yy - abs(X @ Y.conj()) ** 2
+    # well conditioned: the oracle's own rounding stays far below 1e-12
+    assume(min(xx, yy) > 1e-6 and gram > 0.1 * xx * yy)
+    return X, Y
+
+
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**16), kahler=st.booleans(), data=st.data())
+def test_sectional_matches_einsum_oracle_property(d, seed, kahler, data):
+    q = _curvature(d, seed, kahler)
+    X, Y = _draw_plane(data, q.space.n, complex_=False)
+    assert rel_err(sectional(q, X, Y), sectional_einsum(q.entries, X, Y)) <= 1e-12
+
+
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**16), kahler=st.booleans(), data=st.data())
+def test_complex_sectional_matches_einsum_oracle_property(d, seed, kahler, data):
+    q = _curvature(d, seed, kahler)
+    Z, W = _draw_plane(data, q.space.n, complex_=True)
+    num = complex_pairing_einsum(q.entries, Z, W)
+    excess = abs(num.imag) / (TOL * max(1.0, abs(num.real)))
+    assume(not 0.5 < excess < 2.0)  # clear of the "not real" bound either way
+    event("not real" if excess >= 2.0 else "real")
+    if excess >= 2.0:
+        assert not kahler
+        with pytest.raises(ArithmeticError, match="not real"):
+            complex_sectional(q, Z, W)
+    else:
+        want = complex_sectional_einsum(q.entries, Z, W)
+        assert rel_err(complex_sectional(q, Z, W), want) <= 1e-12
+
+
+@given(
+    d=st.integers(1, 4),
+    torsion=st.booleans(),
+    n=st.integers(1, 150),
+    seed=st.integers(0, 2**16),
+)
+def test_sample_curvature_ranges_do_not_depend_on_the_block_size(d, torsion, n, seed):
+    q = random_curv4(make_space(d, with_torsion=torsion), KAHLER_TAGS, seed=seed)
+    runs = []
+    for block in (1, 7, 64, 1000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(importlib.import_module("pherm.invariants"), "_BLOCK", block)
+            runs.append(sample_curvatures(q, n=n, seed=seed))
+    for got in runs:
+        assert got.keys() == runs[2].keys()
+        for name in got:
+            assert rel_err(got[name], runs[2][name]) <= 1e-15, name
