@@ -254,10 +254,12 @@ def _plane_curvatures(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     row order; degenerate planes are dropped."""
     den = _plane_norm(X, Y)
     keep = den > 1e-14
-    num = _plane_pairing(op, X[keep], Y[keep])
+    if not keep.all():  # a degenerate plane is rare: gather only then
+        X, Y, den = X[keep], Y[keep], den[keep]
+    num = _plane_pairing(op, X, Y)
     if np.any(np.abs(num.imag) > TOL * np.maximum(1.0, np.abs(num.real))):
         raise ArithmeticError("complex sectional value is not real")
-    return num.real / den[keep]
+    return num.real / den
 
 
 def _one_plane(rw: Curv4, X: np.ndarray, Y: np.ndarray, degenerate: str) -> float:

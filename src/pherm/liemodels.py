@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .spaces import KAHLER_TAGS, Curv4, make_space, slot_contract
+from .spaces import _BLOCK_BYTES, KAHLER_TAGS, Curv4, make_space, slot_contract
 from .algebra import norm2
 from .invariants import scalar_curvature
 
@@ -226,33 +226,36 @@ def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, fl
 
 def _structure_constants(mats: np.ndarray) -> np.ndarray:
     """C[i, j, k] with [b_i, b_j] = sum_k C[i, j, k] b_k for the (N, m, m)
-    basis b.  Each bracket is formed once, for i < j, and C is filled
-    antisymmetrically from those."""
+    basis b.  Each bracket is formed once, for i < j, in runs of i within
+    `_BLOCK_BYTES` (one i at least); each run's closure residual is folded into
+    a running max and its coordinates filled into C antisymmetrically."""
     N = mats.shape[0]
     flat = mats.reshape(N, -1)  # (N, m^2)
     pinv = np.linalg.pinv(flat.T)
     iu, ju = np.triu_indices(N, 1)  # row-major, so row i's pairs are contiguous
-    half = np.empty((len(iu),) + mats.shape[1:])
-    start = 0
-    for i in range(N - 1):
-        rows = half[start : start + N - 1 - i]
-        np.matmul(mats[i], mats[i + 1 :], out=rows)
-        rows -= mats[i + 1 :] @ mats[i]
-        start += N - 1 - i
-    half = half.reshape(len(iu), -1)
-    coords = half @ pinv.T
-    # basis entries are small integers; the expansion must be essentially exact
-    recon = coords @ flat
-    recon -= half
-    resid = np.max(np.abs(recon, out=recon))
+    first = [i * (2 * N - 1 - i) // 2 for i in range(N)]  # row i's pairs start at first[i]
+    cap = _BLOCK_BYTES // flat[0].nbytes  # brackets in a run
+    C = np.zeros((N, N, N))
+    resid, i = 0.0, 0
+    while i < N - 1:
+        stop = i + 1  # the run is i, ..., stop - 1
+        while stop < N - 1 and first[stop + 1] - first[i] <= cap:
+            stop += 1
+        pairs = slice(first[i], first[stop])
+        brackets = [mats[k] @ mats[k + 1 :] - mats[k + 1 :] @ mats[k] for k in range(i, stop)]
+        half = np.concatenate(brackets).reshape(first[stop] - first[i], -1)
+        coords = half @ pinv.T
+        # basis entries are small integers; the expansion must be essentially exact
+        recon = coords @ flat
+        recon -= half
+        resid = max(resid, np.max(np.abs(recon, out=recon)))
+        C[iu[pairs], ju[pairs]] = coords
+        C[ju[pairs], iu[pairs]] = np.negative(coords, out=coords)
+        i = stop
     if resid > 1e-9:
         raise ModelError(
             f"brackets do not close on the chosen basis: max |residual| {resid:.1e} > 1e-09"
         )
-    del half, recon  # each is about as large as C
-    C = np.zeros((N, N, N))
-    C[iu, ju] = coords
-    C[ju, iu] = np.negative(coords, out=coords)
     return C
 
 
@@ -384,10 +387,14 @@ def model_curvature(model: LieModel) -> Curv4:
     if model.flat:
         n = space.n
         return Curv4(space, np.zeros((n, n, n, n)), KAHLER_TAGS)
-    W = slot_contract(model.structure, model.p_frame.T, model.p_frame.T)
+    # build_model checked [p, p] in l and K definite on l and p: only C[p, p, l], K[l, l] count
+    L = model.l_dim
+    frame = model.p_frame[:, L:].T
+    W = slot_contract(model.structure[L:, L:, :L], frame, frame)
     # the last slot pair is lowered with the (possibly rescaled) metric
-    WK = slot_contract(W, None, None, model.killing)
-    R = model.metric_scale * np.einsum("abl,cel->abce", WK, W, optimize=True)
+    WK = slot_contract(W, None, None, model.killing[:L, :L])
+    R = np.einsum("abl,cel->abce", WK, W, optimize=True)
+    R *= model.metric_scale
     return Curv4(space, R, KAHLER_TAGS)
 
 
@@ -415,10 +422,10 @@ def kappa(rw: Curv4) -> float:
     x, y = np.concatenate([xo, np.arange(n)]), np.concatenate([yo, np.arange(n)])
     H = np.tril(np.ones((n - 1, n))) - np.diag(np.arange(1.0, n), 1)[:-1]
     H /= np.sqrt(np.arange(1.0, n) * np.arange(2.0, n + 1))[:, None]
-    # the form R(e_i, X, Y, e_j) symmetrised in (x, y) and in (i, j), on pairs
-    q = rw.entries[:, x, y, :]
-    q += rw.entries[:, y, x, :]
-    S = 0.25 * (q[x, :, y] + q[y, :, x])  # (pair ij, pair xy)
+    # the form R(e_i, X, Y, e_j) symmetrised in (x, y) and in (i, j), on pairs:
+    # S[a, b] at the pair a = (i, j) of the outer slots and b = (x, y) of the inner
+    R, xa, ya = rw.entries, x[:, None], y[:, None]
+    S = 0.25 * ((R[xa, x, y, ya] + R[xa, y, x, ya]) + (R[ya, x, y, xa] + R[ya, y, x, xa]))
     k = len(xo)
     M = np.empty((k + n - 1,) * 2)
     M[:k, :k] = 2.0 * S[:k, :k]
@@ -434,8 +441,12 @@ def holonomy_commutant_dim(rw: Curv4) -> int:
 
     For the irreducible Hermitian-type models the commutant is spanned by
     the identity and the complex structure, so the expected value is 2.
+    A system over 256 MiB (n >= 22; so*(12) needs 2.6 GiB) raises ValueError.
     """
     n = rw.space.n
+    need = n * (n - 1) // 2 * n**4 * 8  # bytes of the stacked system, which vstack holds twice
+    if need > 2**28:
+        raise ValueError(f"holonomy_commutant_dim at n = {n} needs {need / 2**20:.0f} MiB > 256 MiB")
     # endomorphism of the pair (X, Y): E[w, z] = R(X, Y, Z=e_z, W=e_w)
     ops = [rw.entries[x, y].T for x in range(n) for y in range(x + 1, n)]
     rows = []

@@ -27,6 +27,7 @@ from .spaces import (
     HorizontalSpace,
     SpaceMismatchError,
     TOL,
+    _BLOCK_BYTES,
     _check_curv4,
     _sample_curv4,
     bianchi_grid,
@@ -498,11 +499,6 @@ _IDENTITIES = (
 )
 
 
-# bytes of the largest grid a block of trials stacks, one n'^4 float64 target
-# grid per trial: it sets the block size, so large dims never stack every trial
-_BLOCK_BYTES = 2**20
-
-
 def identity_suite(
     d: int,
     d_prime: int,
@@ -535,6 +531,7 @@ def identity_suite(
         raise ValueError("tolerance must be positive and finite")
     source = make_space(d, with_torsion=True)
     target = make_space(d_prime, with_torsion=True)
+    # trials per block: one n'^4 float64 target grid each, within the budget
     block = max(1, _BLOCK_BYTES // (8 * target.n**4))
     results = []
     for ident_index, (name, fn, kw) in enumerate(_IDENTITIES):

@@ -181,21 +181,30 @@ def torsion_forms(space: HorizontalSpace) -> tuple[Bil2, Bil2]:
 # ---------------------------------------------------------------------------
 
 _SLOTS = (-4, -3, -2, -1)  # the four slots of a (stacked) 4-tensor grid
+_ALL = slice(None)
+
+# bytes of the largest transient block: a row block of a 4-tensor grid in the
+# Curv4 checks, a run of brackets in `liemodels`, a block of trials in `maps`
+_BLOCK_BYTES = 2**20
+
+# `rows`, a slice of the first slot (all rows by default), asks a kernel for those
+# rows of its result, each entry bit for bit the full result's (same arithmetic)
 
 
-def antisym_pairs_grid(q: np.ndarray) -> np.ndarray:
+def antisym_pairs_grid(q: np.ndarray, rows: slice = _ALL) -> np.ndarray:
     """Project onto tensors antisymmetric in slots (1,2) and (3,4)."""
-    q = 0.5 * (q - np.einsum("...yxzw->...xyzw", q))
+    q = 0.5 * (q[..., rows, :, :, :] - np.einsum("...yxzw->...xyzw", q[..., rows, :, :]))
     return 0.5 * (q - np.einsum("...xywz->...xyzw", q))
 
 
-def pair_sym_grid(q: np.ndarray) -> np.ndarray:
-    return 0.5 * (q + np.einsum("...zwxy->...xyzw", q))
+def pair_sym_grid(q: np.ndarray, rows: slice = _ALL) -> np.ndarray:
+    return 0.5 * (q[..., rows, :, :, :] + np.einsum("...zwxy->...xyzw", q[..., rows, :]))
 
 
-def bianchi_grid(q: np.ndarray) -> np.ndarray:
+def bianchi_grid(q: np.ndarray, rows: slice = _ALL) -> np.ndarray:
     """Cyclic Bianchi sum b(Q)(X,Y,Z,W) = Q(X,Y,Z,W)+Q(Z,X,Y,W)+Q(Y,Z,X,W)."""
-    return q + np.einsum("...zxyw->...xyzw", q) + np.einsum("...yzxw->...xyzw", q)
+    b = q[..., rows, :, :, :] + np.einsum("...zxyw->...xyzw", q[..., rows, :, :])
+    return b + np.einsum("...yzxw->...xyzw", q[..., rows, :])
 
 
 def bianchi_project_grid(q: np.ndarray) -> np.ndarray:
@@ -225,26 +234,27 @@ def slot_contract(q: np.ndarray, *mats) -> np.ndarray:
     return out
 
 
-def _conjugate(q: np.ndarray, P: SignedPerm, first: int) -> np.ndarray:
+def _conjugate(q: np.ndarray, P: SignedPerm, first: int, rows: slice = _ALL) -> np.ndarray:
     """P-conjugation of slots first and first + 1 of q, counted from the end
-    (first <= -2), the index gather s[x] s[y] q[..., perm[x], perm[y], ...];
-    it equals the contraction exactly."""
+    (first <= -2), the index gather s[x] s[y] q[..., perm[x], perm[y], ...]
+    over the rows x of slot first; it equals the contraction exactly."""
     perm, s = P
     later = -first - 2
-    ss = np.multiply.outer(s, s)[(...,) + (None,) * later]  # over later slots too
-    out = q[(..., perm[:, None], perm) + (slice(None),) * later]  # the gather is a fresh array
+    ss = np.multiply.outer(s[rows], s)[(...,) + (None,) * later]  # over later slots too
+    out = q[(..., perm[rows, None], perm) + (slice(None),) * later]  # the gather is a fresh array
     out = out.astype(np.result_type(out, ss), copy=False)  # an integer grid becomes float
     out *= ss
     return out
 
 
-def split_average_grid(q: np.ndarray, P: SignedPerm, sign: int) -> np.ndarray:
+def split_average_grid(q: np.ndarray, P: SignedPerm, sign: int, rows: slice = _ALL) -> np.ndarray:
     """The +/- projection averaging P-conjugation over both slot pairs, for
     a signed permutation P = (perm, s) such as `J_pair` or `tau_pair`."""
     add = np.add if sign > 0 else np.subtract  # sign * x added, in the same order
-    q1 = _conjugate(q, P, -4)
-    out = add(q, q1)
-    add(out, _conjugate(q, P, -2), out=out)
+    q1 = _conjugate(q, P, -4, rows)
+    block = q[..., rows, :, :, :]
+    out = add(block, q1)
+    add(out, _conjugate(block, P, -2), out=out)
     out += _conjugate(q1, P, -2)
     out *= 0.25
     return out
@@ -308,15 +318,16 @@ def dot4(p: np.ndarray, q: np.ndarray):
     return np.array([dot4(a, b) for a, b in zip(*np.broadcast_arrays(p, q))])
 
 
-# Each tag's orthogonal projector, in the order `random_curv4` applies them.
+# Each tag's orthogonal projector, in the order `random_curv4` applies them;
+# the projectors that `_tag_residual` compares against also take `rows`.
 # The entries look the grid functions up by module-global name at each call,
 # so a rebound module attribute takes effect here too.
 _PROJECTORS = {
-    "pair_symmetric": lambda space, q: pair_sym_grid(q),
-    "j_plus": lambda space, q: split_average_grid(q, space.J_pair, +1),
-    "j_minus": lambda space, q: split_average_grid(q, space.J_pair, -1),
-    "tau_plus": lambda space, q: split_average_grid(q, space.require_torsion(), +1),
-    "tau_minus": lambda space, q: split_average_grid(q, space.require_torsion(), -1),
+    "pair_symmetric": lambda space, q, rows=_ALL: pair_sym_grid(q, rows),
+    "j_plus": lambda space, q, rows=_ALL: split_average_grid(q, space.J_pair, +1, rows),
+    "j_minus": lambda space, q, rows=_ALL: split_average_grid(q, space.J_pair, -1, rows),
+    "tau_plus": lambda space, q, rows=_ALL: split_average_grid(q, space.require_torsion(), +1, rows),
+    "tau_minus": lambda space, q, rows=_ALL: split_average_grid(q, space.require_torsion(), -1, rows),
     "bianchi_closed": lambda space, q: bianchi_project_grid(q),
     "primitive": lambda space, q: primitive_grid(space, q),
 }
@@ -326,14 +337,31 @@ CURV4_TAGS = tuple(_PROJECTORS)
 KAHLER_TAGS = frozenset({"pair_symmetric", "bianchi_closed", "j_plus"})
 
 
+def _max_over_rows(q: np.ndarray, residual) -> np.ndarray:
+    """The max of residual(rows) over blocks of rows of the first slot of the
+    stack q, each within `_BLOCK_BYTES` (a grid within it is one block, all
+    rows): the unblocked residual bit for bit, as max is exact."""
+    n = q.shape[-4]
+    step = max(1, _BLOCK_BYTES // max(1, q.nbytes // n))
+    blocks = [_ALL] if step >= n else [slice(x, x + step) for x in range(0, n, step)]
+    return functools.reduce(np.maximum, map(residual, blocks))
+
+
 def _tag_residual(space: HorizontalSpace, q: np.ndarray, tag: str) -> np.ndarray:
-    """How far each slice of the stack q is from the tag, in max norm."""
+    """How far each slice of the stack q is from the tag, in max norm: max |q - P q|
+    for the tag's projector P (max |b(q)| for bianchi_closed), over row blocks."""
     if tag == "bianchi_closed":
-        return np.max(np.abs(bianchi_grid(q)), axis=_SLOTS)
+        return _max_over_rows(q, lambda rows: np.max(np.abs(bianchi_grid(q, rows)), axis=_SLOTS))
     if tag == "primitive":
         qw = hat_2form_grid(q, space.omega[(None,) * (q.ndim - 4)])
         return np.max(np.abs(qw @ space.omega.T), axis=(-2, -1))
-    return _max_abs_diff(q, _PROJECTORS[tag](space, q))
+    project = _PROJECTORS[tag]
+    return _max_over_rows(q, lambda rows: _max_abs_diff(q[..., rows, :, :, :], project(space, q, rows)))
+
+
+def _antisym_residual(q: np.ndarray) -> np.ndarray:
+    """How far each slice of the stack q is from antisymmetry in both pairs, over row blocks."""
+    return _max_over_rows(q, lambda rows: _max_abs_diff(q[..., rows, :, :, :], antisym_pairs_grid(q, rows)))
 
 
 def _max_abs_diff(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -351,12 +379,14 @@ def _known_tags(tags: Iterable[str]) -> frozenset:
 
 def _check_curv4(space: HorizontalSpace, q: np.ndarray, tags: frozenset, tol: float) -> None:
     """Every check of a `Curv4` on each slice of a stack q (..., n, n, n, n), against tol
-    times the slice's max(1, max |entry|): finite, antisymmetric in both pairs, each tag."""
-    scale = np.max(np.abs(q), axis=_SLOTS, initial=1.0)
+    times the slice's max(1, max |entry|): finite, antisymmetric in both pairs, each tag.
+    Residuals are taken over row blocks (`_max_over_rows`) and the scale from max q
+    and min q, so no transient is larger than one row block."""
+    scale = np.maximum(np.max(q, axis=_SLOTS, initial=1.0), -np.min(q, axis=_SLOTS, initial=-1.0))
     if not np.all(np.isfinite(scale)):  # a NaN would fail no tolerance comparison
         raise ValueError("entries are not finite")
     bound = tol * scale
-    if np.any(_max_abs_diff(q, antisym_pairs_grid(q)) > bound):
+    if np.any(_antisym_residual(q) > bound):
         raise ValueError("entries are not antisymmetric in both slot pairs")
     for tag in tags:
         if np.any(_tag_residual(space, q, tag) > bound):

@@ -218,6 +218,16 @@ def test_holonomy_commutant_is_id_and_j(family, params):
     assert holonomy_commutant_dim(rw) == 2
 
 
+def test_holonomy_commutant_refuses_a_system_over_256_mib(monkeypatch):
+    rw = model_curvature(build_model("so_star_2p", (6,)))  # n = 30
+    monkeypatch.setattr(liemodels.np, "kron", None)  # nothing may be stacked first
+    with pytest.raises(ValueError, match=r"at n = 30 needs 2688 MiB > 256 MiB"):
+        holonomy_commutant_dim(rw)
+    # the smallest refused size: n = 22 needs 413 MiB, n = 20 would need 232
+    with pytest.raises(ValueError, match=r"at n = 22 needs 413 MiB"):
+        holonomy_commutant_dim(model_curvature(build_model("so_p_2", (11,))))
+
+
 def test_companion_tensor_properties():
     for family, params in (("su_pq", (2, 2)), ("so_p_2", (3,))):
         m = build_model(family, params)
@@ -345,7 +355,21 @@ def test_lie_model_kernels_match_loop_oracles(family, params):
     assert not np.any(m.p_frame[:, :L])
 
 
-def test_brackets_that_do_not_close_raise(monkeypatch):
+# su(3,3) (N = 35, 12 x 12 matrices) fits one run of the default budget;
+# so*(10) (N = 45, 20 x 20) takes four
+@pytest.mark.parametrize("family,params", [("su_pq", (3, 3)), ("so_star_2p", (5,))])
+def test_structure_constants_do_not_depend_on_the_bracket_runs(monkeypatch, family, params):
+    l_mats, p_mats = liemodels._FAMILY_TABLE[family].basis(*params)
+    mats = np.array(l_mats + p_mats, dtype=float)
+    default = liemodels._structure_constants(mats)
+    monkeypatch.setattr(liemodels, "_BLOCK_BYTES", 0)  # one i per run
+    assert np.max(np.abs(liemodels._structure_constants(mats) - default)) <= 1e-15
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["default_runs", "one_i_per_run"])
+def test_brackets_that_do_not_close_raise(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(liemodels, "_BLOCK_BYTES", budget)
     fam = liemodels._FAMILY_TABLE["su_pq"]
 
     def dropped(p, q):
@@ -415,3 +439,26 @@ def test_largest_model_builds_within_memory_budget():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert int(res.stdout) / 1024 < BUILD_MEMORY_BUDGET_MIB  # ru_maxrss is in KiB on Linux
+
+
+# the su(5,4) table row (n = 40, a 20 MiB curvature grid) raises ru_maxrss by
+# about 48 MiB with one BLAS thread; full-size check transients made it 91
+TABLE_ROW_MEMORY_BUDGET_MIB = 70
+
+
+def test_largest_table_row_runs_within_memory_budget():
+    code = (
+        "import contextlib, io, resource\n"
+        "import pherm.cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = pherm.cli.main(['table', '--family', 'su_pq', '--params', '5,4'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(liemodels.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    code, rise = map(int, res.stdout.split())
+    assert code == 0
+    assert rise / 1024 < TABLE_ROW_MEMORY_BUDGET_MIB  # ru_maxrss is in KiB on Linux

@@ -448,3 +448,85 @@ def test_random_curv4_is_the_sampler_slice_checked_once(monkeypatch):
     q = random_curv4(sp, KAHLER, 9)
     assert calls == [1e-10]  # the sampler's joint check, stricter than TOL; no second check
     assert np.array_equal(q.entries, stack[1]) and q.tags == KAHLER
+
+
+def _whole_residual(space, q, check):
+    """The residual of one Curv4 check computed on all of q at once."""
+    if check == "antisymmetric":
+        return spaces._max_abs_diff(q, spaces.antisym_pairs_grid(q))
+    if check == "bianchi_closed":
+        return np.max(np.abs(bianchi_grid(q)), axis=spaces._SLOTS)
+    if check == "primitive":
+        qw = spaces.hat_2form_grid(q, space.omega[(None,) * (q.ndim - 4)])
+        return np.max(np.abs(qw @ space.omega.T), axis=(-2, -1))
+    return spaces._max_abs_diff(q, spaces._PROJECTORS[check](space, q))
+
+
+def _record_antisym_rows(monkeypatch):
+    """The row blocks the antisymmetry check asks its kernel for, in order."""
+    seen, kernel = [], spaces.antisym_pairs_grid
+    monkeypatch.setattr(spaces, "antisym_pairs_grid", lambda q, rows: seen.append(rows) or kernel(q, rows))
+    return seen
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["grid", "stack"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("check", ("antisymmetric",) + spaces.CURV4_TAGS)
+def test_row_blocked_residual_is_the_whole_residual_bit_for_bit(monkeypatch, check, d, stack):
+    sp = make_space(d, with_torsion=True)
+    n = sp.n
+    q = np.random.default_rng(d).standard_normal((3,) * stack + (n,) * 4)
+    whole = _whole_residual(sp, q, check)
+    values = []
+    for rows in (1, 2, n):  # rows per block under the patched budget
+        monkeypatch.setattr(spaces, "_BLOCK_BYTES", rows * (q.nbytes // n))
+        seen = _record_antisym_rows(monkeypatch)
+        if check == "antisymmetric":
+            values.append(spaces._antisym_residual(q))
+            tiles = [list(range(n))[s] for s in seen]
+            assert tiles == [list(range(x, min(x + rows, n))) for x in range(0, n, rows)]
+            assert seen == [slice(None)] or rows < n  # all rows: one block, sliced as a view
+        else:
+            values.append(spaces._tag_residual(sp, q, check))
+        monkeypatch.undo()
+    assert values[0].shape == whole.shape
+    for got in values:
+        assert np.array_equal(got, whole)
+
+
+def _first_and_last_row_blocks(q):
+    """The first and the last row block of the default budget, as row ranges."""
+    n = q.shape[-4]
+    step = spaces._BLOCK_BYTES // (q.nbytes // n)
+    assert 4 <= step < n // 2  # three blocks at least, each with four rows
+    last = (n - 1) // step * step
+    assert n - last >= 4
+    return range(0, step), range(last, n)
+
+
+def test_violations_in_the_first_or_last_row_block_are_caught():
+    sp = make_space(12)  # n = 24: a 2.6 MiB grid in blocks of 9, 9 and 6 rows
+    q = random_curv4(sp, KAHLER, seed=3).entries
+    for block in _first_and_last_row_blocks(q):
+        x, y, z, w = block[:4]
+        one = np.zeros_like(q)
+        one[x, y, z, w] = 1e-6
+        # antisymmetric in both pairs, rows x..w only: neither pair symmetric nor
+        # Bianchi closed, and neither defect shows outside rows x..w
+        F = one - one.transpose(1, 0, 2, 3)
+        F = F - F.transpose(0, 1, 3, 2)
+        # J-anti-invariant in the last pair, so its j_plus projection is zero
+        J_break = F - slot_contract(F, None, None, sp.J, sp.J)
+        cases = [
+            (one, KAHLER, ValueError, "entries are not antisymmetric in both slot pairs"),
+            (F, {"pair_symmetric"}, TagError, "declared tag 'pair_symmetric' fails its projector check"),
+            (F, {"bianchi_closed"}, TagError, "declared tag 'bianchi_closed' fails its projector check"),
+            (J_break, {"j_plus"}, TagError, "declared tag 'j_plus' fails its projector check"),
+        ]
+        for change, tags, error, message in cases:
+            assert set(np.nonzero(change)[0]) <= set(block)
+            Curv4(sp, q, tags)
+            with pytest.raises(error) as err:
+                Curv4(sp, q + change, tags)
+            assert str(err.value) == message
+
