@@ -18,6 +18,7 @@ from .spaces import (
     SignedPerm,
     _check_same_space,
     _conjugate,
+    _wedge_indices,
     bianchi_grid,
     dot4,
     fundamental_form,
@@ -29,7 +30,6 @@ from .spaces import (
     ricci_grid,
     split_average_grid,
     sym_product_grid,
-    wedge_pairs,
     wedge_trace,
 )
 
@@ -76,7 +76,7 @@ def ricci_contraction(q: Curv4) -> Bil2:
 def _wedge_index(space: HorizontalSpace) -> tuple:
     """`hat`'s gather from a 4-tensor grid with any leading batch axes:
     row = image pair (c,d), column = source pair (a,b)."""
-    a, b = np.array(wedge_pairs(space)).T  # first / second index of each pair
+    a, b = _wedge_indices(space)  # first / second index of each pair
     return ..., a[None, :], b[None, :], a[:, None], b[:, None]
 
 

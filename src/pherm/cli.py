@@ -152,21 +152,21 @@ def cmd_model(config: RunConfig) -> dict:
             "params": list(params),
             "d": model.d,
             "flat": model.flat,
-            "s": scalar_curvature(rw),
         }
         if model.flat:
-            block.update({"pseudo_einstein": True, "cm_norm2": 0.0})
+            block.update({"s": 0.0, "pseudo_einstein": True, "cm_norm2": 0.0})
         elif model.d < 2:
             # the trace decomposition degenerates; rho is a multiple of
             # omega for dimension reasons, so the flag is trivially true
-            block.update({"pseudo_einstein": True, "cm_norm2": None})
+            block.update({"s": scalar_curvature(rw), "pseudo_einstein": True, "cm_norm2": None})
         else:
             rep = invariants(rw, samples=config.samples, seed=config.seeds[0])
             block.update(
                 {
+                    "s": rep.scalar,  # the report's one Ricci contraction
                     "pseudo_einstein": rep.pseudo_einstein,
                     "cm_norm2": rep.cm_norm2,
-                    "c0_prime": _c0_prime(rw, block["s"]) if abs(block["s"]) > 1e-12 else None,
+                    "c0_prime": _c0_prime(rw, rep.scalar) if abs(rep.scalar) > 1e-12 else None,
                     "kappa": kappa(rw),
                     "curvature_ranges": {
                         "sectional": list(rep.sectional_range),
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     except (ModelError, SpaceMismatchError, TagError):  # program faults, not configuration
         traceback.print_exc()
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a crash must not read as a verdict (0 passed, 1 failed)

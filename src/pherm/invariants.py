@@ -20,6 +20,7 @@ from .spaces import (
     Bil2,
     Curv4,
     HorizontalSpace,
+    _wedge_indices,
     bianchi_grid,
     hat_2form_grid,
     kulkarni_grid,
@@ -118,13 +119,10 @@ def scalar_curvature(rw: Curv4) -> float:
 
 def _c0_and_report(rw: Curv4) -> tuple[float, InvariantReport]:
     d = rw.space.d
-    if d < 2:
-        raise ValueError("the companion tensor requires d >= 2")
-    s = scalar_curvature(rw)
-    if abs(s) < 1e-12:
+    rep = invariants(rw)  # raises ValueError at d < 2
+    if abs(rep.scalar) < 1e-12:
         raise ValueError("scalar curvature vanishes; constant undefined")
-    rep = invariants(rw)
-    return -(8.0 * d / (d - 1.0)) * rep.cm_norm2 / s, rep
+    return -(8.0 * d / (d - 1.0)) * rep.cm_norm2 / rep.scalar, rep
 
 
 def c0_constant(rw: Curv4) -> float:
@@ -220,7 +218,7 @@ def _sample_count(n, least: int) -> int:
 
 def _wedge_op(rw: Curv4) -> tuple:
     """(hat(rw).entries, a, b), with (a, b) the pairs of `wedge_pairs` in order."""
-    return (hat(rw).entries, *np.triu_indices(rw.space.n, 1))
+    return (hat(rw).entries, *_wedge_indices(rw.space))
 
 
 def _plane_pairing(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

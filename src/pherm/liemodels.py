@@ -441,20 +441,17 @@ def holonomy_commutant_dim(rw: Curv4) -> int:
 
     For the irreducible Hermitian-type models the commutant is spanned by
     the identity and the complex structure, so the expected value is 2.
-    A system over 256 MiB (n >= 22; so*(12) needs 2.6 GiB) raises ValueError.
+    It is the null space of G, vec(C)^T G vec(C) = sum_p |[A_p, C]|^2 over the n^2
+    antisymmetric A_p = R(x, y, ., .): G = -(S (x) I + I (x) S) - 2 sum_p A_p (x) A_p
+    with S = sum_p A_p^2.  Eigenvalues at or below 1e-12 * lambda_max count as null.
     """
     n = rw.space.n
-    need = n * (n - 1) // 2 * n**4 * 8  # bytes of the stacked system, which vstack holds twice
-    if need > 2**28:
-        raise ValueError(f"holonomy_commutant_dim at n = {n} needs {need / 2**20:.0f} MiB > 256 MiB")
-    # endomorphism of the pair (X, Y): E[w, z] = R(X, Y, Z=e_z, W=e_w)
-    ops = [rw.entries[x, y].T for x in range(n) for y in range(x + 1, n)]
-    rows = []
-    ident = np.eye(n)
-    for E in ops:
-        # [E, C] = 0 as linear constraint on C (n^2 unknowns)
-        rows.append(np.kron(E, ident) - np.kron(ident, E.T))
-    sysmat = np.vstack(rows)
-    sv = np.linalg.svd(sysmat, compute_uv=False)
-    tolerance = 1e-9 * max(1.0, sv[0])
-    return int(n * n - np.sum(sv > tolerance))
+    F = rw.entries.reshape(n * n, n * n)  # row p, column (a, c): A_p[a, c]
+    G = (F.T @ F).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    G *= -2.0  # -2 sum_p A_p (x) A_p, row (a, b), column (c, d)
+    S = -np.tensordot(rw.entries, rw.entries, axes=([0, 1, 3], [0, 1, 3]))  # A_p^2 = -A_p A_p^T
+    G4 = G.reshape(n, n, n, n)  # writable views of the diagonals of S (x) I and I (x) S
+    np.einsum("abcb->abc", G4)[...] -= S[:, None, :]
+    np.einsum("abad->abd", G4)[...] -= S[None, :, :]
+    lam = np.linalg.eigvalsh(G)
+    return int(np.sum(lam <= 1e-12 * lam[-1]))

@@ -415,10 +415,14 @@ class Curv4:
         return f"Curv4(d={self.space.d}, tags={sorted(self.tags)})"
 
 
+def _wedge_indices(space: HorizontalSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The one source of the wedge basis e_i ^ e_j, i < j: its (i, j) index arrays, in order."""
+    return np.triu_indices(space.n, 1)
+
+
 def wedge_pairs(space: HorizontalSpace) -> list[tuple[int, int]]:
     """Lexicographic basis enumeration of wedge 2-vectors e_i ^ e_j, i < j."""
-    n = space.n
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return list(zip(*(a.tolist() for a in _wedge_indices(space))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +433,7 @@ class Endo2Forms:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = len(wedge_pairs(self.space))
+        m = self.space.n * (self.space.n - 1) // 2  # the size of the wedge basis
         if self.entries.shape != (m, m):
             raise ValueError(f"expected shape {(m, m)}, got {self.entries.shape}")
 

@@ -409,6 +409,17 @@ def reeb_residual_loops(Q, F, v, plus):
     return abs(lhs - rhs)
 
 
+def holonomy_commutant_kron(q):
+    """Joint commutant dimension of the endomorphisms E = q[x, y].T (x < y):
+    the null space of the stacked Kronecker system [E (x) I - I (x) E^T],
+    with singular values at or below 1e-9 * max(1, sigma_max) counted as zero."""
+    n = q.shape[0]
+    ident = np.eye(n)
+    rows = [np.kron(q[x, y].T, ident) - np.kron(ident, q[x, y]) for x in range(n) for y in range(x + 1, n)]
+    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    return int(n * n - np.sum(sv > 1e-9 * max(1.0, sv[0])))
+
+
 def rel_err(a, b):
     """Max-abs difference relative to max(1, max |b|)."""
     a, b = np.asarray(a), np.asarray(b)

@@ -300,6 +300,18 @@ def test_tag_and_space_errors_exit_3(monkeypatch, capsys, fault):
     assert "Traceback" in err and f"{fault.__name__}: declared tag" in err
 
 
+def test_internal_key_error_exits_3_not_a_configuration_error(monkeypatch, capsys):
+    # no configuration path raises KeyError, so a failed lookup is a program fault
+    def lookup(rngs, *args):
+        return {}["missing_residual"]
+
+    monkeypatch.setattr(maps, "_IDENTITIES", (("lookup_identity", lookup, {}),))
+    assert main(["verify", "--trials", "1", "--dims", "2,2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "KeyError: 'missing_residual'" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
