@@ -16,7 +16,20 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .spaces import _BLOCK_BYTES, KAHLER_TAGS, Curv4, make_space, slot_contract
+from .spaces import (
+    _BLOCK_BYTES,
+    KAHLER_TAGS,
+    TOL,
+    Curv4,
+    HorizontalSpace,
+    _conjugate,
+    _grid_scale,
+    _judge_curv4,
+    _proven_curv4,
+    _tag_residual,
+    make_space,
+    slot_contract,
+)
 from .algebra import norm2
 from .invariants import scalar_curvature
 
@@ -259,6 +272,20 @@ def _structure_constants(mats: np.ndarray) -> np.ndarray:
     return C
 
 
+def _killing_form(C: np.ndarray) -> np.ndarray:
+    """K[i, j] = tr(ad b_i ad b_j) = sum_ab C[i, b, a] C[j, a, b], summed over runs of a as
+    C[:, :, a] @ C[:, a, :]^T: each run copies C[:, :, a] once, within `_BLOCK_BYTES`
+    (one a at least), and reads C[:, a, :] as a view."""
+    N = C.shape[0]
+    step = max(1, _BLOCK_BYTES // (N * N * C.itemsize))
+    K = np.zeros((N, N))
+    for a in range(0, N, step):
+        run = slice(a, a + step)
+        # rows i, columns (a, b): C[i, b, a] against C[j, a, b]
+        K += C[:, :, run].transpose(0, 2, 1).reshape(N, -1) @ C[:, run, :].reshape(N, -1).T
+    return K
+
+
 def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -> LieModel:
     """Construct a family member and verify its structural invariants."""
     params = tuple(int(x) for x in params)
@@ -280,8 +307,7 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
         )
 
     C = _structure_constants(mats)
-    ads = np.einsum("ijk->ikj", C)  # ad_i as a matrix acting on coordinates
-    K = np.einsum("iab,jba->ij", ads, ads, optimize=True)
+    K = _killing_form(C)
 
     if family == "heisenberg":
         frame = np.zeros((2 * d, L + P))
@@ -291,22 +317,20 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
         xi[0] = 1.0
         return LieModel(family, params, d, True, mats, L, C, K, xi, frame, metric_scale)
 
-    li = np.arange(L)
-    pi = np.arange(L, L + P)
-
+    # the first L basis elements span l and the rest p, so every block is a basic slice (a view)
     # bracket closure of the symmetric pair
     for what, block in (
-        ("[l, l] leaves l", (li, li, pi)),
-        ("[l, p] leaves p", (li, pi, li)),
-        ("[p, p] leaves l", (pi, pi, pi)),
+        ("[l, l] leaves l", C[:L, :L, L:]),
+        ("[l, p] leaves p", C[:L, L:, :L]),
+        ("[p, p] leaves l", C[L:, L:, L:]),
     ):
-        resid = np.max(np.abs(C[np.ix_(*block)]))
+        resid = np.max(np.abs(block))
         if resid > 1e-9:
             raise ModelError(f"{what}: max |C| {resid:.1e} > 1e-09")
 
     # definiteness of the Killing form on both parts
-    ev_l = np.linalg.eigvalsh(0.5 * (K[np.ix_(li, li)] + K[np.ix_(li, li)].T))
-    ev_p = np.linalg.eigvalsh(0.5 * (K[np.ix_(pi, pi)] + K[np.ix_(pi, pi)].T))
+    ev_l = np.linalg.eigvalsh(0.5 * (K[:L, :L] + K[:L, :L].T))
+    ev_p = np.linalg.eigvalsh(0.5 * (K[L:, L:] + K[L:, L:].T))
     if ev_l.max() > -1e-9:
         raise ModelError(
             f"Killing form is not negative definite on l: max eigenvalue {ev_l.max():.1e} > -1e-09"
@@ -317,7 +341,7 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
         )
 
     # center of l: coefficients z with [z, l] = 0
-    sysmat = C[np.ix_(li, li)].reshape(L, -1).T  # rows (j, k), cols i
+    sysmat = C[:L, :L].reshape(L, -1).T  # rows (j, k), cols i
     # sysmat = QR with R of shape (L, L), as sysmat has L^2 >= L rows; R has
     # the same singular values and right singular vectors, without the (L^2, L) factor
     _, sv, vt = np.linalg.svd(np.linalg.qr(sysmat, mode="r"), full_matrices=False)
@@ -334,8 +358,8 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
 
     z_full = np.zeros(L + P)
     z_full[:L] = z
-    ad_z = np.einsum("i,iab->ab", z_full, ads)
-    S = ad_z[np.ix_(pi, pi)]
+    ad_z = np.einsum("i,iba->ab", z_full, C)  # ad z as a matrix acting on coordinates
+    S = ad_z[L:, L:]
     S2 = S @ S
     c2 = -np.trace(S2) / P
     resid = np.max(np.abs(S2 + c2 * np.eye(P)))
@@ -347,10 +371,12 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
     scale = 1.0 / np.sqrt(c2)
     xi = np.zeros(L + P)
     xi[:L] = scale * z
-    Jp = scale * S  # complex structure on p in basis coordinates
+    # complex structure on p in basis coordinates; C order (S is an F-order view), so
+    # the frame's products round as they did on a copied block
+    Jp = np.multiply(scale, S, order="C")
 
     # adapted frame, orthonormal for metric_scale * beta restricted to p
-    G = metric_scale * K[np.ix_(pi, pi)]
+    G = metric_scale * K[L:, L:]
     frame_p = np.zeros((P, P))  # rows (e_1..e_d, Je_1..Je_d); rows not yet filled are zero
     found = 0
     for k in range(P):
@@ -382,20 +408,69 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
 
 
 def model_curvature(model: LieModel) -> Curv4:
-    """Curvature tensor in the adapted frame; zero for the flat family."""
+    """Curvature tensor in the adapted frame; zero for the flat family.
+
+    R = F K F^T for the factor F = W.reshape(n^2, L), W = C[p, p, l] read in the
+    frame (n, n, L), and K = metric_scale * K[l, l]: one BLAS product.  The Kähler
+    tags are proven on the factor (`_prove_kahler_factor`), not on the n^4 grid."""
     space = make_space(model.d)
+    n = space.n
     if model.flat:
-        n = space.n
-        return Curv4(space, np.zeros((n, n, n, n)), KAHLER_TAGS)
+        return _proven_curv4(space, np.zeros((n,) * 4), KAHLER_TAGS)  # zero has every tag
     # build_model checked [p, p] in l and K definite on l and p: only C[p, p, l], K[l, l] count
     L = model.l_dim
     frame = model.p_frame[:, L:].T
     W = slot_contract(model.structure[L:, L:, :L], frame, frame)
-    # the last slot pair is lowered with the (possibly rescaled) metric
-    WK = slot_contract(W, None, None, model.killing[:L, :L])
-    R = np.einsum("abl,cel->abce", WK, W, optimize=True)
-    R *= model.metric_scale
-    return Curv4(space, R, KAHLER_TAGS)
+    K = model.metric_scale * model.killing[:L, :L]  # the last slot pair lowered with the metric
+    F = W.reshape(n * n, L)
+    R = ((F @ K) @ F.T).reshape((n,) * 4)
+    _prove_kahler_factor(space, W, K, R)
+    return _proven_curv4(space, R, KAHLER_TAGS)
+
+
+def _prove_kahler_factor(space: HorizontalSpace, W: np.ndarray, K: np.ndarray, R: np.ndarray) -> None:
+    """Raise what `Curv4(space, R, KAHLER_TAGS)` would raise on R = F K F^T, F = W.reshape(n^2, L),
+    from checks on the factor, in the same order and against the same bound
+    TOL * s, s = max(1, max |R|) (from max R and min R).
+
+    Write m = max |F|, k = max(|K|_1, |K|_inf) (largest column or row sum of |K|) and
+    |X|_r for the largest row sum of |X|.  |u K v^T| <= |u|_1 k max|v| for rows u, v,
+    so each factor residual below bounds the grid residual that `_check_curv4` takes:
+    - antisymmetry: R - P R = (Fs K F^T) + P_1(F K Fs^T) for the symmetric part
+      Fs = (W + W_ba) / 2, so |R - P R| <= 2 |Fs|_r k m;
+    - j_plus: with D = F - F_J, F_J = W(Ja, Jb, .) by the `J_pair` gather,
+      R - P_J R = (D K F^T + F K D^T + D K F^T + F_J K D^T) / 4, so |R - P_J R| <= |D|_r k m;
+    - pair_symmetric: R - (R + R^swap) / 2 = F (K - K^T) F^T / 2, so the residual is
+      at most |F|_r |K - K^T|_r m / 2;
+    - bianchi_closed: max |b(R)| over row blocks of R, the grid check itself.
+    A factor residual within TOL * s thus implies the grid's, up to the rounding of R
+    itself (about L * 1e-16 * |F|_r k m, far below TOL).  W and K must be finite, as a
+    non-finite entry of either makes R non-finite.  The bounds are sufficient, not
+    tight: on perturbed models they run 1 to 30 times the grid residual, so a grid
+    that passes with less margin than that fails here, with the grid check's error."""
+    n, L = W.shape[1], W.shape[2]
+    finite = np.all(np.isfinite(W)) and np.all(np.isfinite(K))
+    scale = _grid_scale(R) if finite else np.nan
+    F = W.reshape(n * n, L)
+    m = np.max(np.abs(F))
+    k = max(np.max(np.sum(np.abs(K), axis=0)), np.max(np.sum(np.abs(K), axis=1)))
+
+    def rows1(X):
+        return np.max(np.sum(np.abs(X.reshape(-1, X.shape[-1])), axis=1))
+
+    def antisym():
+        fs = W + np.einsum("bal->abl", W)
+        fs *= 0.5
+        return 2.0 * rows1(fs) * k * m
+
+    def factor_residual(tag):
+        if tag == "j_plus":
+            return rows1(W - _conjugate(W, space.J_pair, -3)) * k * m
+        if tag == "pair_symmetric":
+            return 0.5 * rows1(F) * rows1(K - K.T) * m
+        return _tag_residual(space, R, tag)  # bianchi_closed, on R
+
+    _judge_curv4(scale, antisym, factor_residual, KAHLER_TAGS, TOL)
 
 
 def c0_prime(rw: Curv4) -> float:
@@ -423,9 +498,13 @@ def kappa(rw: Curv4) -> float:
     H = np.tril(np.ones((n - 1, n))) - np.diag(np.arange(1.0, n), 1)[:-1]
     H /= np.sqrt(np.arange(1.0, n) * np.arange(2.0, n + 1))[:, None]
     # the form R(e_i, X, Y, e_j) symmetrised in (x, y) and in (i, j), on pairs:
-    # S[a, b] at the pair a = (i, j) of the outer slots and b = (x, y) of the inner
+    # S[a, b] at the pair a = (i, j) of the outer slots and b = (x, y) of the inner.
+    # Pair symmetry with antisymmetry gives R(j, y, x, i) = R(i, x, y, j) and
+    # R(j, x, y, i) = R(i, y, x, j): the (i, j) swap repeats the (x, y) swap
     R, xa, ya = rw.entries, x[:, None], y[:, None]
-    S = 0.25 * ((R[xa, x, y, ya] + R[xa, y, x, ya]) + (R[ya, x, y, xa] + R[ya, y, x, xa]))
+    S = R[xa, x, y, ya]
+    S += R[xa, y, x, ya]
+    S *= 0.5
     k = len(xo)
     M = np.empty((k + n - 1,) * 2)
     M[:k, :k] = 2.0 * S[:k, :k]

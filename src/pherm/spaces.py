@@ -191,25 +191,37 @@ _BLOCK_BYTES = 2**20
 # rows of its result, each entry bit for bit the full result's (same arithmetic)
 
 
+# The kernels below compute in place on their own fresh arrays, so each makes
+# one temporary per step: `t = a - b; t *= 0.5` is `0.5 * (a - b)` bit for bit.
+
+
 def antisym_pairs_grid(q: np.ndarray, rows: slice = _ALL) -> np.ndarray:
     """Project onto tensors antisymmetric in slots (1,2) and (3,4)."""
-    q = 0.5 * (q[..., rows, :, :, :] - np.einsum("...yxzw->...xyzw", q[..., rows, :, :]))
-    return 0.5 * (q - np.einsum("...xywz->...xyzw", q))
+    t = np.subtract(q[..., rows, :, :, :], np.einsum("...yxzw->...xyzw", q[..., rows, :, :]))
+    t *= 0.5
+    out = np.subtract(t, np.einsum("...xywz->...xyzw", t))
+    out *= 0.5
+    return out
 
 
 def pair_sym_grid(q: np.ndarray, rows: slice = _ALL) -> np.ndarray:
-    return 0.5 * (q[..., rows, :, :, :] + np.einsum("...zwxy->...xyzw", q[..., rows, :]))
+    out = np.add(q[..., rows, :, :, :], np.einsum("...zwxy->...xyzw", q[..., rows, :]))
+    out *= 0.5
+    return out
 
 
 def bianchi_grid(q: np.ndarray, rows: slice = _ALL) -> np.ndarray:
     """Cyclic Bianchi sum b(Q)(X,Y,Z,W) = Q(X,Y,Z,W)+Q(Z,X,Y,W)+Q(Y,Z,X,W)."""
-    b = q[..., rows, :, :, :] + np.einsum("...zxyw->...xyzw", q[..., rows, :, :])
-    return b + np.einsum("...yzxw->...xyzw", q[..., rows, :])
+    b = np.add(q[..., rows, :, :, :], np.einsum("...zxyw->...xyzw", q[..., rows, :, :]))
+    b += np.einsum("...yzxw->...xyzw", q[..., rows, :])
+    return b
 
 
 def bianchi_project_grid(q: np.ndarray) -> np.ndarray:
     # on pair-symmetric tensors b acts as 3*Id on the fully antisymmetric part
-    return q - bianchi_grid(q) / 3.0
+    b = bianchi_grid(q)
+    b /= 3.0
+    return np.subtract(q, b, out=b)
 
 
 def kahler_bianchi_grid(q: np.ndarray, J: SignedPerm) -> np.ndarray:
@@ -351,7 +363,7 @@ def _tag_residual(space: HorizontalSpace, q: np.ndarray, tag: str) -> np.ndarray
     """How far each slice of the stack q is from the tag, in max norm: max |q - P q|
     for the tag's projector P (max |b(q)| for bianchi_closed), over row blocks."""
     if tag == "bianchi_closed":
-        return _max_over_rows(q, lambda rows: np.max(np.abs(bianchi_grid(q, rows)), axis=_SLOTS))
+        return _max_over_rows(q, lambda rows: _max_abs(bianchi_grid(q, rows)))
     if tag == "primitive":
         qw = hat_2form_grid(q, space.omega[(None,) * (q.ndim - 4)])
         return np.max(np.abs(qw @ space.omega.T), axis=(-2, -1))
@@ -366,7 +378,12 @@ def _antisym_residual(q: np.ndarray) -> np.ndarray:
 
 def _max_abs_diff(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """max |q - p| over the slots of each slice, for a fresh array p, which it overwrites."""
-    return np.max(np.abs(np.subtract(q, p, out=p), out=p), axis=_SLOTS)
+    return _max_abs(np.subtract(q, p, out=p))
+
+
+def _max_abs(p: np.ndarray) -> np.ndarray:
+    """max |p| over the slots of each slice, for a fresh array p, which it overwrites."""
+    return np.max(np.abs(p, out=p), axis=_SLOTS)
 
 
 def _known_tags(tags: Iterable[str]) -> frozenset:
@@ -377,20 +394,33 @@ def _known_tags(tags: Iterable[str]) -> frozenset:
     return tags
 
 
+def _grid_scale(q: np.ndarray) -> np.ndarray:
+    """max(1, max |entry|) of each slice of the stack q, from max q and min q (no |q| copy)."""
+    return np.maximum(np.max(q, axis=_SLOTS, initial=1.0), -np.min(q, axis=_SLOTS, initial=-1.0))
+
+
+def _judge_curv4(scale, antisym, residual, tags: frozenset, tol: float) -> None:
+    """Raise what a failed `Curv4` check raises, checking in its order: scale finite,
+    antisym() and then residual(tag) for each tag in `tags` order, each at most
+    tol * scale.  The residuals are callables, so none is computed after a failure."""
+    if not np.all(np.isfinite(scale)):  # a NaN would fail no tolerance comparison
+        raise ValueError("entries are not finite")
+    bound = tol * scale
+    if np.any(antisym() > bound):
+        raise ValueError("entries are not antisymmetric in both slot pairs")
+    for tag in tags:
+        if np.any(residual(tag) > bound):
+            raise TagError(f"declared tag {tag!r} fails its projector check")
+
+
 def _check_curv4(space: HorizontalSpace, q: np.ndarray, tags: frozenset, tol: float) -> None:
     """Every check of a `Curv4` on each slice of a stack q (..., n, n, n, n), against tol
     times the slice's max(1, max |entry|): finite, antisymmetric in both pairs, each tag.
     Residuals are taken over row blocks (`_max_over_rows`) and the scale from max q
     and min q, so no transient is larger than one row block."""
-    scale = np.maximum(np.max(q, axis=_SLOTS, initial=1.0), -np.min(q, axis=_SLOTS, initial=-1.0))
-    if not np.all(np.isfinite(scale)):  # a NaN would fail no tolerance comparison
-        raise ValueError("entries are not finite")
-    bound = tol * scale
-    if np.any(_antisym_residual(q) > bound):
-        raise ValueError("entries are not antisymmetric in both slot pairs")
-    for tag in tags:
-        if np.any(_tag_residual(space, q, tag) > bound):
-            raise TagError(f"declared tag {tag!r} fails its projector check")
+    _judge_curv4(
+        _grid_scale(q), lambda: _antisym_residual(q), lambda tag: _tag_residual(space, q, tag), tags, tol
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,6 +443,18 @@ class Curv4:
 
     def __repr__(self):
         return f"Curv4(d={self.space.d}, tags={sorted(self.tags)})"
+
+
+def _proven_curv4(space: HorizontalSpace, entries: np.ndarray, tags: Iterable[str]) -> Curv4:
+    """A `Curv4` built without `__post_init__`, for a grid whose checks its caller proved.
+
+    Contract: `entries` has shape (n, n, n, n), is finite, and the caller has shown
+    that every residual of `_check_curv4(space, entries, tags, TOL)` (antisymmetry in
+    both slot pairs and each tag) is at most TOL * max(1, max |entry|), by a check at
+    least as strict.  Nothing is verified here; the tags are frozen as `Curv4` does."""
+    proven = object.__new__(Curv4)
+    proven.__dict__.update(space=space, entries=entries, tags=_known_tags(tags))
+    return proven
 
 
 def _wedge_indices(space: HorizontalSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -486,9 +528,7 @@ def random_curv4(space: HorizontalSpace, tags: Iterable[str], seed) -> Curv4:
     tags = frozenset(tags)
     q = _sample_curv4(space, tags, [seed])[0]
     # the sampler ran every Curv4 check on q at 1e-10, stricter than TOL * max(1, |q|) = TOL
-    proven = object.__new__(Curv4)
-    proven.__dict__.update(space=space, entries=q, tags=tags)
-    return proven
+    return _proven_curv4(space, q, tags)
 
 
 def _sample_curv4(space: HorizontalSpace, tags: Iterable[str], seeds) -> np.ndarray:

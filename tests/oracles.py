@@ -364,6 +364,55 @@ def kappa_dense(q):
     return float(np.linalg.eigvalsh(M)[0])
 
 
+def kappa_four_gathers(q):
+    """kappa's quadratic form gathered from the grid symmetrised in (x, y) and in (i, j)
+    separately, four (P, P) gathers, on the pair basis with a Helmert block for the
+    traceless diagonals; its lowest eigenvalue."""
+    n = q.shape[0]
+    xo, yo = np.triu_indices(n, 1)
+    x, y = np.concatenate([xo, np.arange(n)]), np.concatenate([yo, np.arange(n)])
+    H = np.tril(np.ones((n - 1, n))) - np.diag(np.arange(1.0, n), 1)[:-1]
+    H /= np.sqrt(np.arange(1.0, n) * np.arange(2.0, n + 1))[:, None]
+    xa, ya = x[:, None], y[:, None]
+    S = 0.25 * ((q[xa, x, y, ya] + q[xa, y, x, ya]) + (q[ya, x, y, xa] + q[ya, y, x, xa]))
+    k = len(xo)
+    M = np.empty((k + n - 1,) * 2)
+    M[:k, :k] = 2.0 * S[:k, :k]
+    M[:k, k:] = np.sqrt(2.0) * S[:k, k:] @ H.T
+    M[k:, :k] = np.sqrt(2.0) * H @ S[k:, :k]
+    M[k:, k:] = H @ S[k:, k:] @ H.T
+    M = 0.5 * (M + M.T)
+    return float(np.linalg.eigvalsh(M)[0])
+
+
+def killing_form_einsum(C):
+    """tr(ad b_i ad b_j) from structure constants C[i, j, k], ad_i[k, j] = C[i, j, k],
+    as one optimised two-operand einsum over the transposed view."""
+    ads = np.einsum("ijk->ikj", C)
+    return np.einsum("iab,jba->ij", ads, ads, optimize=True)
+
+
+# The expression forms of the grid kernels that now compute in place: each
+# binary step makes a fresh array, in the same arithmetic order.
+
+def antisym_pairs_expr(q, rows=slice(None)):
+    q = 0.5 * (q[..., rows, :, :, :] - np.einsum("...yxzw->...xyzw", q[..., rows, :, :]))
+    return 0.5 * (q - np.einsum("...xywz->...xyzw", q))
+
+
+def pair_sym_expr(q, rows=slice(None)):
+    return 0.5 * (q[..., rows, :, :, :] + np.einsum("...zwxy->...xyzw", q[..., rows, :]))
+
+
+def bianchi_expr(q, rows=slice(None)):
+    b = q[..., rows, :, :, :] + np.einsum("...zxyw->...xyzw", q[..., rows, :, :])
+    return b + np.einsum("...yzxw->...xyzw", q[..., rows, :])
+
+
+def bianchi_project_expr(q):
+    return q - bianchi_expr(q) / 3.0
+
+
 def model_curvature_einsum(p_frame, structure, killing, metric_scale):
     W = np.einsum("ai,bj,ijk->abk", p_frame, p_frame, structure)
     return metric_scale * np.einsum("abk,kl,cel->abce", W, killing, W)

@@ -153,3 +153,58 @@ def test_tracer_guard_catches_a_cached_public_function():
     module._build = functools.cache(build)  # private names may be cached
     module.plain = build
     assert hidden_from_tracer(module) == ["build"]
+
+
+def calls_by_function(tree: ast.AST, matches) -> set[str]:
+    """Names of the innermost functions that contain a call for which matches(call) holds."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and matches(child):
+                found.add(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def is_bare_curv4_new(call: ast.Call) -> bool:
+    """object.__new__(Curv4): a Curv4 that skips its __post_init__ checks."""
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "__new__"
+        and _names(call.func.value) == {"object"}
+        and any(_names(arg) & {"Curv4"} for arg in call.args)
+    )
+
+
+def is_proven_curv4_call(call: ast.Call) -> bool:
+    return getattr(call.func, "attr", getattr(call.func, "id", None)) == "_proven_curv4"
+
+
+def test_only_the_proven_constructor_skips_the_curv4_checks():
+    # a Curv4 that skips its checks comes from one helper, and only the callers
+    # that prove the tags themselves (the sampler's check, the factor proof) use it
+    bare, proven = set(), set()
+    for module in sorted(LAYERS):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        bare |= {(module, f) for f in calls_by_function(tree, is_bare_curv4_new)}
+        proven |= {(module, f) for f in calls_by_function(tree, is_proven_curv4_call)}
+    assert bare == {("spaces", "_proven_curv4")}
+    assert proven == {("spaces", "random_curv4"), ("liemodels", "model_curvature")}
+
+
+def test_the_proven_constructor_guard_sees_a_bare_curv4():
+    tree = ast.parse(
+        "def helper(space, q):\n"
+        "    c = object.__new__(Curv4)\n"
+        "    return c\n"
+        "def user(space, q):\n"
+        "    return spaces._proven_curv4(space, q, ())\n"
+    )
+    assert calls_by_function(tree, is_bare_curv4_new) == {"helper"}
+    assert calls_by_function(tree, is_proven_curv4_call) == {"user"}

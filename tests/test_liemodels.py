@@ -1,13 +1,15 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pherm import liemodels
+from pherm import liemodels, spaces
 from pherm import (
     FAMILIES,
     Curv4,
@@ -37,6 +39,8 @@ from oracles import (
     adapted_frame_loop,
     holonomy_commutant_kron,
     kappa_dense,
+    kappa_four_gathers,
+    killing_form_einsum,
     model_curvature_einsum,
     rel_err,
     structure_constants_einsum,
@@ -535,3 +539,141 @@ def test_largest_table_row_runs_within_memory_budget():
     code, rise = map(int, res.stdout.split())
     assert code == 0
     assert rise / 1024 < TABLE_ROW_MEMORY_BUDGET_MIB  # ru_maxrss is in KiB on Linux
+
+
+# table rows and the larger rows whose curvature the factor proof must accept
+PROVEN_ROWS = list(TABLE_ROWS) + [
+    ("su_pq", (4, 4)),
+    ("so_star_2p", (6,)),
+    ("so_p_2", (16,)),
+    ("su_pq", (5, 4)),
+]
+
+
+@pytest.mark.parametrize("family,params", PROVEN_ROWS)
+def test_factor_proven_curvature_passes_the_dense_check(family, params):
+    rw = model_curvature(build_model(family, params))
+    assert rw.tags == spaces.KAHLER_TAGS
+    spaces._check_curv4(rw.space, rw.entries, spaces.KAHLER_TAGS, spaces.TOL)  # raises on a failure
+
+
+@pytest.mark.parametrize("family,params", TABLE_ROWS)
+def test_model_curvature_never_runs_the_dense_check(monkeypatch, family, params):
+    m = build_model(family, params)
+
+    def dense(*args):
+        raise AssertionError("model_curvature ran the dense Curv4 check")
+
+    monkeypatch.setattr(spaces, "_check_curv4", dense)
+    rw = model_curvature(m)
+    assert isinstance(rw, Curv4) and rw.tags == spaces.KAHLER_TAGS
+
+
+def _break_frame_j(m, eps, rng):
+    """Move the Je rows of the frame, so that they are no longer J of the e rows."""
+    f = m.p_frame.copy()
+    L = m.l_dim
+    f[m.d :, L:] += eps * np.max(np.abs(f)) * rng.standard_normal((m.d, m.dim - L))
+    return dataclasses.replace(m, p_frame=f)
+
+
+def _killing_plus(m, eps, rng, sign):
+    """K[l, l] plus eps * max |K[l, l]| * (A + sign A^T) for a Gaussian A."""
+    K = m.killing.copy()
+    L = m.l_dim
+    A = rng.standard_normal((L, L))
+    K[:L, :L] += eps * np.max(np.abs(K[:L, :L])) * (A + sign * A.T)
+    return dataclasses.replace(m, killing=K)
+
+
+def _break_structure_antisymmetry(m, eps, rng):
+    C = m.structure.copy()
+    L = m.l_dim
+    block = C[L:, L:, :L]
+    block += eps * np.max(np.abs(block)) * rng.standard_normal(block.shape)
+    return dataclasses.replace(m, structure=C)
+
+
+def _nan_in_killing(m, eps, rng):
+    K = m.killing.copy()
+    K[0, 0] = np.nan
+    return dataclasses.replace(m, killing=K)
+
+
+# each breaks one input of the factor; the dense check sees the grid formed from it
+FACTOR_BREAKS = {
+    "frame_breaks_j": _break_frame_j,
+    "killing_plus_antisymmetric": lambda m, eps, rng: _killing_plus(m, eps, rng, -1),
+    "killing_plus_symmetric_non_invariant": lambda m, eps, rng: _killing_plus(m, eps, rng, +1),
+    "structure_not_antisymmetric": _break_structure_antisymmetry,
+    "nan_in_killing": _nan_in_killing,
+}
+
+
+@pytest.mark.parametrize("family,params", [("su_pq", (3, 2)), ("sp_p_R", (3,)), ("so_star_2p", (4,))])
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+@pytest.mark.parametrize("name", sorted(FACTOR_BREAKS))
+def test_factor_proof_raises_what_the_dense_check_raises(monkeypatch, name, eps, family, params):
+    m = FACTOR_BREAKS[name](build_model(family, params), eps, np.random.default_rng(7))
+    grid = model_curvature_einsum(m.p_frame, m.structure, m.killing, m.metric_scale)
+    space = make_space(m.d)
+    with pytest.raises(ValueError) as dense:  # TagError is a ValueError
+        Curv4(space, grid, spaces.KAHLER_TAGS)
+    with pytest.raises(ValueError) as factor:
+        model_curvature(m)
+    assert (type(factor.value), str(factor.value)) == (type(dense.value), str(dense.value))
+    # the tags are checked in set order, which varies between processes: try every order
+    for order in itertools.permutations(sorted(spaces.KAHLER_TAGS)):
+        with pytest.raises(ValueError) as dense:
+            spaces._check_curv4(space, grid, order, spaces.TOL)
+        monkeypatch.setattr(liemodels, "KAHLER_TAGS", order)
+        with pytest.raises(ValueError) as factor:
+            model_curvature(m)
+        assert (type(factor.value), str(factor.value)) == (type(dense.value), str(dense.value)), order
+
+
+@pytest.mark.parametrize("family,params", TABLE_ROWS)
+def test_kappa_two_gathers_match_the_four_gather_oracle(family, params):
+    rw = model_curvature(build_model(family, params))
+    assert abs(kappa(rw) - kappa_four_gathers(rw.entries)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("tags", [{"pair_symmetric"}, {"pair_symmetric", "bianchi_closed"}, {"pair_symmetric", "j_plus", "bianchi_closed"}])
+def test_kappa_matches_the_four_gather_oracle_on_random_draws(d, tags):
+    for seed in range(3):
+        rw = random_curv4(make_space(d), tags, seed)
+        scale = np.max(np.abs(rw.entries))
+        assert abs(kappa(rw) - kappa_four_gathers(rw.entries)) <= 1e-12 * scale
+
+
+def _structure_of(family, params):
+    l_mats, p_mats = liemodels._FAMILY_TABLE[family].basis(*params)
+    return liemodels._structure_constants(np.array(l_mats + p_mats, dtype=float))
+
+
+@pytest.mark.parametrize("family,params", list(TABLE_ROWS) + [("so_p_2", (16,))])
+def test_killing_form_matches_the_einsum_oracle(family, params):
+    C = _structure_of(family, params)
+    K = liemodels._killing_form(C)
+    want = killing_form_einsum(C)
+    assert np.max(np.abs(K - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_killing_form_does_not_depend_on_the_runs(monkeypatch):
+    C = _structure_of("su_pq", (4, 3))  # N = 48: one run of the default budget
+    default = liemodels._killing_form(C)
+    monkeypatch.setattr(liemodels, "_BLOCK_BYTES", 0)  # one a per run
+    assert np.max(np.abs(liemodels._killing_form(C) - default)) <= 1e-15 * np.max(np.abs(default))
+
+
+def test_killing_form_of_so16_2_stays_within_the_block_budget():
+    # N = 153: the transposed copy of all of C that an einsum takes is 27 MiB
+    C = _structure_of("so_p_2", (16,))
+    tracemalloc.start()
+    try:
+        K = liemodels._killing_form(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - K.nbytes <= 2 * 2**20

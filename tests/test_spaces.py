@@ -20,7 +20,16 @@ from pherm.spaces import (
 from pherm import algebra, spaces
 from pherm.algebra import hat, unhat
 
-from oracles import random_curv4_loop, rel_err, split_average_einsum, unhat_loops
+from oracles import (
+    antisym_pairs_expr,
+    bianchi_expr,
+    bianchi_project_expr,
+    pair_sym_expr,
+    random_curv4_loop,
+    rel_err,
+    split_average_einsum,
+    unhat_loops,
+)
 
 KAHLER = {"pair_symmetric", "bianchi_closed", "j_plus"}
 
@@ -401,6 +410,44 @@ def test_kernel_on_a_stack_is_the_stack_of_its_slices(kernel):
     q, s2, s3, D = (rng.standard_normal(s) for s in ((3, n, n, n, n), (3, n, n), (3, n, n, 2), (3, n, 5)))
     slices = [f(q[i], s2[i], s3[i], D[i], 0) for i in range(3)]
     assert np.array_equal(f(q, s2, s3, D, 1), np.stack(slices))  # bit for bit
+
+
+# the kernels that compute in place, against their expression forms
+IN_PLACE_KERNELS = {
+    "antisym_pairs_grid": (spaces.antisym_pairs_grid, antisym_pairs_expr),
+    "pair_sym_grid": (spaces.pair_sym_grid, pair_sym_expr),
+    "bianchi_grid": (bianchi_grid, bianchi_expr),
+}
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["grid", "stack"])
+@pytest.mark.parametrize("kernel", sorted(IN_PLACE_KERNELS))
+def test_in_place_kernel_is_its_expression_form_bit_for_bit(kernel, stack):
+    f, expr = IN_PLACE_KERNELS[kernel]
+    n = _SP.n
+    q = np.random.default_rng(12).standard_normal((3,) * stack + (n,) * 4)
+    for rows in (slice(None), slice(0, 1), slice(2, 5), slice(n - 1, n)):
+        assert np.array_equal(f(q, rows), expr(q, rows))
+    assert np.array_equal(f(q), expr(q))
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["grid", "stack"])
+def test_in_place_bianchi_projection_is_its_expression_form_bit_for_bit(stack):
+    q = np.random.default_rng(13).standard_normal((3,) * stack + (_SP.n,) * 4)
+    got = spaces.bianchi_project_grid(q)
+    assert np.array_equal(got, bianchi_project_expr(q))
+    assert not np.shares_memory(got, q)
+
+
+def test_proven_curv4_skips_the_checks_and_freezes_its_tags(monkeypatch):
+    sp = make_space(2)
+    q = random_curv4(sp, KAHLER, seed=1).entries
+    monkeypatch.setattr(spaces, "_check_curv4", None)  # a dense check would fail to run
+    c = spaces._proven_curv4(sp, q, list(KAHLER))
+    assert isinstance(c, Curv4) and c.entries is q and c.space is sp
+    assert isinstance(c.tags, frozenset) and c.tags == KAHLER
+    with pytest.raises(TagError, match="unknown tags"):
+        spaces._proven_curv4(sp, q, {"holomorphic"})
 
 
 def _perturb_one_kahler_slice(monkeypatch, index, change):
