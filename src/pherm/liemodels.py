@@ -317,8 +317,8 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
         xi[0] = 1.0
         return LieModel(family, params, d, True, mats, L, C, K, xi, frame, metric_scale)
 
-    # the first L basis elements span l and the rest p, so every block is a basic slice (a view)
-    # bracket closure of the symmetric pair
+    # bracket closure of the symmetric pair; l is the first L basis elements and p
+    # the rest, so each block is a basic slice (a view)
     for what, block in (
         ("[l, l] leaves l", C[:L, :L, L:]),
         ("[l, p] leaves p", C[:L, L:, :L]),

@@ -399,7 +399,7 @@ def _grid_scale(q: np.ndarray) -> np.ndarray:
     return np.maximum(np.max(q, axis=_SLOTS, initial=1.0), -np.min(q, axis=_SLOTS, initial=-1.0))
 
 
-def _judge_curv4(scale, antisym, residual, tags: frozenset, tol: float) -> None:
+def _judge_curv4(scale, antisym, residual, tags: Iterable[str], tol: float) -> None:
     """Raise what a failed `Curv4` check raises, checking in its order: scale finite,
     antisym() and then residual(tag) for each tag in `tags` order, each at most
     tol * scale.  The residuals are callables, so none is computed after a failure."""
@@ -413,7 +413,7 @@ def _judge_curv4(scale, antisym, residual, tags: frozenset, tol: float) -> None:
             raise TagError(f"declared tag {tag!r} fails its projector check")
 
 
-def _check_curv4(space: HorizontalSpace, q: np.ndarray, tags: frozenset, tol: float) -> None:
+def _check_curv4(space: HorizontalSpace, q: np.ndarray, tags: Iterable[str], tol: float) -> None:
     """Every check of a `Curv4` on each slice of a stack q (..., n, n, n, n), against tol
     times the slice's max(1, max |entry|): finite, antisymmetric in both pairs, each tag.
     Residuals are taken over row blocks (`_max_over_rows`) and the scale from max q
