@@ -446,8 +446,8 @@ def _prove_kahler_factor(space: HorizontalSpace, W: np.ndarray, K: np.ndarray, R
     A factor residual within TOL * s thus implies the grid's, up to the rounding of R
     itself (about L * 1e-16 * |F|_r k m, far below TOL).  W and K must be finite, as a
     non-finite entry of either makes R non-finite.  The bounds are sufficient, not
-    tight: on perturbed models they run 1 to 30 times the grid residual, so a grid
-    that passes with less margin than that fails here, with the grid check's error."""
+    tight: on perturbed models they run up to about 35 times the grid residual, so a
+    grid that passes with less margin than that fails here, with the grid check's error."""
     n, L = W.shape[1], W.shape[2]
     finite = np.all(np.isfinite(W)) and np.all(np.isfinite(K))
     scale = _grid_scale(R) if finite else np.nan

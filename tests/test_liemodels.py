@@ -639,7 +639,9 @@ def test_kappa_two_gathers_match_the_four_gather_oracle(family, params):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("tags", [{"pair_symmetric"}, {"pair_symmetric", "bianchi_closed"}, {"pair_symmetric", "j_plus", "bianchi_closed"}])
+@pytest.mark.parametrize(
+    "tags", [{"pair_symmetric"}, {"pair_symmetric", "bianchi_closed"}, set(spaces.KAHLER_TAGS)]
+)
 def test_kappa_matches_the_four_gather_oracle_on_random_draws(d, tags):
     for seed in range(3):
         rw = random_curv4(make_space(d), tags, seed)
