@@ -497,8 +497,9 @@ def test_model_curvature_rejects_a_structure_that_breaks_jacobi():
         model_curvature(dataclasses.replace(m, structure=C))
 
 
-# so(16,2) raises ru_maxrss by about 112 MiB with one BLAS thread and 130 MiB
-# with two; kernels that held all N^2 brackets (N = 153, 18 x 18) took 263 and 315
+# so(16,2) raises ru_maxrss by about 69 MiB with one BLAS thread and 70 MiB with
+# two (83 and 84 when the Killing form took a transposed copy of all of C); kernels
+# that held all N^2 brackets (N = 153, 18 x 18) took 263 and 315
 BUILD_MEMORY_BUDGET_MIB = 180
 
 
