@@ -17,11 +17,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .spaces import (
-    _BLOCK_BYTES,
     KAHLER_TAGS,
     TOL,
     Curv4,
     HorizontalSpace,
+    _blocks,
     _conjugate,
     _grid_scale,
     _judge_curv4,
@@ -239,32 +239,23 @@ def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, fl
 
 def _structure_constants(mats: np.ndarray) -> np.ndarray:
     """C[i, j, k] with [b_i, b_j] = sum_k C[i, j, k] b_k for the (N, m, m)
-    basis b.  Each bracket is formed once, for i < j, in runs of i within
-    `_BLOCK_BYTES` (one i at least); each run's closure residual is folded into
+    basis b.  Each bracket is formed once, for i < j, one row i at a time (a row
+    is at most 0.86 MiB, at su(8,5)); each row's closure residual is folded into
     a running max and its coordinates filled into C antisymmetrically."""
     N = mats.shape[0]
     flat = mats.reshape(N, -1)  # (N, m^2)
     pinv = np.linalg.pinv(flat.T)
-    iu, ju = np.triu_indices(N, 1)  # row-major, so row i's pairs are contiguous
-    first = [i * (2 * N - 1 - i) // 2 for i in range(N)]  # row i's pairs start at first[i]
-    cap = _BLOCK_BYTES // flat[0].nbytes  # brackets in a run
     C = np.zeros((N, N, N))
-    resid, i = 0.0, 0
-    while i < N - 1:
-        stop = i + 1  # the run is i, ..., stop - 1
-        while stop < N - 1 and first[stop + 1] - first[i] <= cap:
-            stop += 1
-        pairs = slice(first[i], first[stop])
-        brackets = [mats[k] @ mats[k + 1 :] - mats[k + 1 :] @ mats[k] for k in range(i, stop)]
-        half = np.concatenate(brackets).reshape(first[stop] - first[i], -1)
+    resid = 0.0
+    for i in range(N - 1):
+        half = (mats[i] @ mats[i + 1 :] - mats[i + 1 :] @ mats[i]).reshape(N - 1 - i, -1)
         coords = half @ pinv.T
         # basis entries are small integers; the expansion must be essentially exact
         recon = coords @ flat
         recon -= half
         resid = max(resid, np.max(np.abs(recon, out=recon)))
-        C[iu[pairs], ju[pairs]] = coords
-        C[ju[pairs], iu[pairs]] = np.negative(coords, out=coords)
-        i = stop
+        C[i, i + 1 :] = coords
+        C[i + 1 :, i] = np.negative(coords, out=coords)
     if resid > 1e-9:
         raise ModelError(
             f"brackets do not close on the chosen basis: max |residual| {resid:.1e} > 1e-09"
@@ -273,14 +264,12 @@ def _structure_constants(mats: np.ndarray) -> np.ndarray:
 
 
 def _killing_form(C: np.ndarray) -> np.ndarray:
-    """K[i, j] = tr(ad b_i ad b_j) = sum_ab C[i, b, a] C[j, a, b], summed over runs of a as
-    C[:, :, a] @ C[:, a, :]^T: each run copies C[:, :, a] once, within `_BLOCK_BYTES`
-    (one a at least), and reads C[:, a, :] as a view."""
+    """K[i, j] = tr(ad b_i ad b_j) = sum_ab C[i, b, a] C[j, a, b], summed over the
+    `_blocks` of a as C[:, :, a] @ C[:, a, :]^T: each block copies C[:, :, a] once
+    and reads C[:, a, :] as a view."""
     N = C.shape[0]
-    step = max(1, _BLOCK_BYTES // (N * N * C.itemsize))
     K = np.zeros((N, N))
-    for a in range(0, N, step):
-        run = slice(a, a + step)
+    for run in _blocks(N, N * N * C.itemsize):
         # rows i, columns (a, b): C[i, b, a] against C[j, a, b]
         K += C[:, :, run].transpose(0, 2, 1).reshape(N, -1) @ C[:, run, :].reshape(N, -1).T
     return K

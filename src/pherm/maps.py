@@ -27,7 +27,7 @@ from .spaces import (
     HorizontalSpace,
     SpaceMismatchError,
     TOL,
-    _BLOCK_BYTES,
+    _blocks,
     _check_curv4,
     _sample_curv4,
     bianchi_grid,
@@ -345,11 +345,9 @@ class SuiteReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def by_name(self, name: str) -> IdentityResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+
+# the value dimension of the vector-valued 2-tensors and 2-forms the identities draw
+_FIBER_DIM = 3
 
 
 def _seeds(rngs) -> np.ndarray:
@@ -371,14 +369,14 @@ def _full(space: HorizontalSpace, rw: np.ndarray) -> np.ndarray:
     return full
 
 
-def _resid_qform_traceless_reduction(rngs, source, target, fiber, broken):
+def _resid_qform_traceless_reduction(rngs, source, target, broken):
     d, n = source.d, source.n
     if broken:
         Q = _sample_curv4(source, {"pair_symmetric"}, _seeds(rngs))
         trq = np.trace(Q[_wedge_index(source)], axis1=-2, axis2=-1)
     else:
         Q, trq = _weights(source, ("jminus", "jplus_primitive"), rngs)
-    (m,) = _normals(rngs, (n, n, fiber))
+    (m,) = _normals(rngs, (n, n, _FIBER_DIM))
     m = 0.5 * (m + m.transpose(0, 2, 1, 3))
     delta = _delta(m)
     m0 = m + np.einsum("xy,...k->...xyk", source.g, delta) / d
@@ -387,7 +385,7 @@ def _resid_qform_traceless_reduction(rngs, source, target, fiber, broken):
     return np.abs(lhs - rhs)
 
 
-def _resid_reeb_term(rngs, source, target, fiber, broken, plus: bool):
+def _resid_reeb_term(rngs, source, target, broken, plus: bool):
     """<T^ F, F> = -/+ tr(Q^) |v|^2 for T = b(Q) - Q and F = -omega (x) v.
 
     The sign of the -Q term is invisible here: every canonical weight
@@ -399,9 +397,9 @@ def _resid_reeb_term(rngs, source, target, fiber, broken, plus: bool):
     variants = ("jplus_primitive", "tau_jplus_primitive") if plus else ("jminus", "tau_jminus")
     Q, trq = _weights(source, variants[: 1 + source.has_torsion], rngs)
     T = bianchi_grid(Q) - Q
-    (v,) = _normals(rngs, fiber)
+    (v,) = _normals(rngs, _FIBER_DIM)
     if broken:
-        (F,) = _normals(rngs, (source.n, source.n, fiber))
+        (F,) = _normals(rngs, (source.n, source.n, _FIBER_DIM))
         F = 0.5 * (F - F.transpose(0, 2, 1, 3))
     else:
         F = -np.einsum("xy,...k->...xyk", source.omega, v)
@@ -410,7 +408,7 @@ def _resid_reeb_term(rngs, source, target, fiber, broken, plus: bool):
     return np.abs(lhs - sign * trq * np.vecdot(v, v))
 
 
-def _resid_pullback_curvature_pairing(rngs, source, target, fiber, broken):
+def _resid_pullback_curvature_pairing(rngs, source, target, broken):
     seeds = _seeds(rngs)
     Q = _sample_curv4(source, {"pair_symmetric"}, seeds)
     Rt = _sample_curv4(target, KAHLER_TAGS, seeds + 1)
@@ -426,7 +424,7 @@ def _resid_pullback_curvature_pairing(rngs, source, target, fiber, broken):
     return np.abs(lhs - rhs)
 
 
-def _resid_jplus_torsion_composition(rngs, source, target, fiber, broken):
+def _resid_jplus_torsion_composition(rngs, source, target, broken):
     seeds = _seeds(rngs)
     Rs = _sample_curv4(source, KAHLER_TAGS, seeds)
     tags, shift = ({"pair_symmetric"}, 2) if broken else ({"pair_symmetric", "j_plus"}, 1)
@@ -438,7 +436,7 @@ def _resid_jplus_torsion_composition(rngs, source, target, fiber, broken):
     return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
-def _resid_jminus_torsion_contraction(rngs, source, target, fiber, broken):
+def _resid_jminus_torsion_contraction(rngs, source, target, broken):
     seeds = _seeds(rngs)
     Rs = _sample_curv4(source, KAHLER_TAGS, seeds)
     Q, trq = _weights(source, ("jminus", "tau_jminus"), rngs)
@@ -456,7 +454,7 @@ def _resid_jminus_torsion_contraction(rngs, source, target, fiber, broken):
     return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
-def _resid_cm_spaceform_orthogonality(rngs, source, target, fiber, broken):
+def _resid_cm_spaceform_orthogonality(rngs, source, target, broken):
     seeds = _seeds(rngs)
     f = np.array([rng.uniform(0.5, 2.0) for rng in rngs])
     D, v, nabla = _cr_map_data(source, target, f, seeds)
@@ -469,7 +467,7 @@ def _resid_cm_spaceform_orthogonality(rngs, source, target, fiber, broken):
     return np.abs(0.5 * dot4(cm.entries, slot_contract(sf, D, D, D, D)))
 
 
-def _resid_cr_structure(rngs, source, target, fiber, broken):
+def _resid_cr_structure(rngs, source, target, broken):
     seeds = _seeds(rngs)
     f = np.array([rng.uniform(0.5, 2.0) for rng in rngs])
     D, v0, nabla = _cr_map_data(source, target, f, seeds)
@@ -502,7 +500,6 @@ _IDENTITIES = (
 def identity_suite(
     d: int,
     d_prime: int,
-    fiber_dim: int = 3,
     seed: int = 0,
     trials: int = 100,
     tolerance: float = 1e-9,
@@ -521,25 +518,21 @@ def identity_suite(
         raise ValueError("the identity suite requires source half-dimension >= 2")
     if d_prime < d:
         raise ValueError("target half-dimension must be at least the source one")
-    # an empty fiber makes three identities read 0 = 0, zero trials check
-    # nothing, and an infinite tolerance passes anything
-    if fiber_dim < 1:
-        raise ValueError("fiber_dim must be >= 1")
+    # zero trials check nothing, and an infinite tolerance passes anything
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be positive and finite")
     source = make_space(d, with_torsion=True)
     target = make_space(d_prime, with_torsion=True)
-    # trials per block: one n'^4 float64 target grid each, within the budget
-    block = max(1, _BLOCK_BYTES // (8 * target.n**4))
+    # blocks of trials, each trial one n'^4 float64 target grid
+    blocks = [range(trials)[block] for block in _blocks(trials, 8 * target.n**4)]
     results = []
     for ident_index, (name, fn, kw) in enumerate(_IDENTITIES):
         residuals = []
-        for start in range(0, trials, block):
-            stop = min(start + block, trials)
-            rngs = [np.random.default_rng((seed, trial, ident_index)) for trial in range(start, stop)]
-            residuals.extend(fn(rngs, source, target, fiber_dim, negative_control, **kw))
+        for block in blocks:
+            rngs = [np.random.default_rng((seed, trial, ident_index)) for trial in block]
+            residuals.extend(fn(rngs, source, target, negative_control, **kw))
         label = name + ("_negative_control" if negative_control else "")
         results.append(fold_residuals(label, residuals, tolerance))
     return SuiteReport(results=tuple(results))

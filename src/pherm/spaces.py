@@ -22,7 +22,7 @@ import functools
 import operator
 import string
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 import numpy as np
 
@@ -183,9 +183,16 @@ def torsion_forms(space: HorizontalSpace) -> tuple[Bil2, Bil2]:
 _SLOTS = (-4, -3, -2, -1)  # the four slots of a (stacked) 4-tensor grid
 _ALL = slice(None)
 
-# bytes of the largest transient block: a row block of a 4-tensor grid in the
-# Curv4 checks, a run of brackets in `liemodels`, a block of trials in `maps`
+# bytes of the largest transient block (`_blocks`): a row block of a 4-tensor grid
+# in the Curv4 checks, a run of the Killing form in `liemodels`, a block of trials in `maps`
 _BLOCK_BYTES = 2**20
+
+
+def _blocks(count: int, unit_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), each with as many units of unit_bytes as fit
+    `_BLOCK_BYTES` (one at least); a count that fits is one block, all of it."""
+    step = max(1, _BLOCK_BYTES // max(1, unit_bytes))
+    return [_ALL] if step >= count else [slice(x, x + step) for x in range(0, count, step)]
 
 # `rows`, a slice of the first slot (all rows by default), asks a kernel for those
 # rows of its result, each entry bit for bit the full result's (same arithmetic)
@@ -350,13 +357,10 @@ KAHLER_TAGS = frozenset({"pair_symmetric", "bianchi_closed", "j_plus"})
 
 
 def _max_over_rows(q: np.ndarray, residual) -> np.ndarray:
-    """The max of residual(rows) over blocks of rows of the first slot of the
-    stack q, each within `_BLOCK_BYTES` (a grid within it is one block, all
-    rows): the unblocked residual bit for bit, as max is exact."""
+    """The max of residual(rows) over the `_blocks` of rows of the first slot of
+    the stack q: the unblocked residual bit for bit, as max is exact."""
     n = q.shape[-4]
-    step = max(1, _BLOCK_BYTES // max(1, q.nbytes // n))
-    blocks = [_ALL] if step >= n else [slice(x, x + step) for x in range(0, n, step)]
-    return functools.reduce(np.maximum, map(residual, blocks))
+    return functools.reduce(np.maximum, map(residual, _blocks(n, q.nbytes // n)))
 
 
 def _tag_residual(space: HorizontalSpace, q: np.ndarray, tag: str) -> np.ndarray:
@@ -399,21 +403,22 @@ def _grid_scale(q: np.ndarray) -> np.ndarray:
     return np.maximum(np.max(q, axis=_SLOTS, initial=1.0), -np.min(q, axis=_SLOTS, initial=-1.0))
 
 
-def _judge_curv4(scale, antisym, residual, tags: Iterable[str], tol: float) -> None:
+def _judge_curv4(scale, antisym, residual, tags: Collection[str], tol: float) -> None:
     """Raise what a failed `Curv4` check raises, checking in its order: scale finite,
-    antisym() and then residual(tag) for each tag in `tags` order, each at most
-    tol * scale.  The residuals are callables, so none is computed after a failure."""
+    antisym() and then residual(tag) for each of `tags` in `CURV4_TAGS` order (not the
+    hash-seeded order of a set), each at most tol * scale.  The residuals are
+    callables, so none is computed after a failure."""
     if not np.all(np.isfinite(scale)):  # a NaN would fail no tolerance comparison
         raise ValueError("entries are not finite")
     bound = tol * scale
     if np.any(antisym() > bound):
         raise ValueError("entries are not antisymmetric in both slot pairs")
-    for tag in tags:
-        if np.any(residual(tag) > bound):
+    for tag in CURV4_TAGS:
+        if tag in tags and np.any(residual(tag) > bound):
             raise TagError(f"declared tag {tag!r} fails its projector check")
 
 
-def _check_curv4(space: HorizontalSpace, q: np.ndarray, tags: Iterable[str], tol: float) -> None:
+def _check_curv4(space: HorizontalSpace, q: np.ndarray, tags: Collection[str], tol: float) -> None:
     """Every check of a `Curv4` on each slice of a stack q (..., n, n, n, n), against tol
     times the slice's max(1, max |entry|): finite, antisymmetric in both pairs, each tag.
     Residuals are taken over row blocks (`_max_over_rows`) and the scale from max q

@@ -208,3 +208,33 @@ def test_the_proven_constructor_guard_sees_a_bare_curv4():
     )
     assert calls_by_function(tree, is_bare_curv4_new) == {"helper"}
     assert calls_by_function(tree, is_proven_curv4_call) == {"user"}
+
+
+def names_of(tree: ast.AST, name: str) -> list[int]:
+    """Lines that name `name`: a bare name, an attribute or an imported name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.ImportFrom) and any(name in (a.name, a.asname) for a in node.names))
+    )
+
+
+@pytest.mark.parametrize("module", sorted(set(LAYERS) - {"spaces"}))
+def test_only_spaces_reads_the_block_budget(module):
+    # every loop cut to the 1 MiB budget asks `spaces._blocks` for its slices,
+    # so the budget has one binding, which a patch of `spaces` reaches everywhere
+    lines = names_of(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), "_BLOCK_BYTES")
+    assert lines == [], f"{module}: names _BLOCK_BYTES at lines {lines}"
+
+
+def test_the_block_budget_guard_sees_an_import_and_a_use():
+    tree = ast.parse(
+        "from .spaces import (\n"
+        "    _BLOCK_BYTES,\n"
+        ")\n"
+        "step = spaces._BLOCK_BYTES // 8\n"
+        "cap = _BLOCK_BYTES\n"
+    )
+    assert names_of(tree, "_BLOCK_BYTES") == [1, 4, 5]

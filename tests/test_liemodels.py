@@ -429,17 +429,6 @@ def test_lie_model_kernels_match_loop_oracles(family, params):
     assert not np.any(m.p_frame[:, :L])
 
 
-# su(3,3) (N = 35, 12 x 12 matrices) fits one run of the default budget;
-# so*(10) (N = 45, 20 x 20) takes four
-@pytest.mark.parametrize("family,params", [("su_pq", (3, 3)), ("so_star_2p", (5,))])
-def test_structure_constants_do_not_depend_on_the_bracket_runs(monkeypatch, family, params):
-    l_mats, p_mats = liemodels._FAMILY_TABLE[family].basis(*params)
-    mats = np.array(l_mats + p_mats, dtype=float)
-    default = liemodels._structure_constants(mats)
-    monkeypatch.setattr(liemodels, "_BLOCK_BYTES", 0)  # one i per run
-    assert np.max(np.abs(liemodels._structure_constants(mats) - default)) <= 1e-15
-
-
 def test_brackets_that_do_not_close_raise(monkeypatch):
     fam = liemodels._FAMILY_TABLE["su_pq"]
 
@@ -450,12 +439,6 @@ def test_brackets_that_do_not_close_raise(monkeypatch):
     monkeypatch.setitem(liemodels._FAMILY_TABLE, "su_pq", dataclasses.replace(fam, basis=dropped))
     with pytest.raises(ModelError, match=r"brackets do not close .*: max \|residual\| \S+ > 1e-09"):
         build_model("su_pq", (2, 1))
-
-
-def test_brackets_that_do_not_close_raise_with_one_i_per_run(monkeypatch):
-    # the failing brackets lie in a later run: its residual must reach the check
-    monkeypatch.setattr(liemodels, "_BLOCK_BYTES", 0)
-    test_brackets_that_do_not_close_raise(monkeypatch)
 
 
 def _swap_l0_p0(l_mats, p_mats):
@@ -623,7 +606,7 @@ def test_factor_proof_raises_what_the_dense_check_raises(monkeypatch, name, eps,
     with pytest.raises(ValueError) as factor:
         model_curvature(m)
     assert (type(factor.value), str(factor.value)) == (type(dense.value), str(dense.value))
-    # the tags are checked in set order, which varies between processes: try every order
+    # the tags are checked in `CURV4_TAGS` order, whatever order they come in: try every order
     for order in itertools.permutations(sorted(spaces.KAHLER_TAGS)):
         with pytest.raises(ValueError) as dense:
             spaces._check_curv4(space, grid, order, spaces.TOL)
@@ -666,7 +649,7 @@ def test_killing_form_matches_the_einsum_oracle(family, params):
 def test_killing_form_does_not_depend_on_the_runs(monkeypatch):
     C = _structure_of("su_pq", (4, 3))  # N = 48: one run of the default budget
     default = liemodels._killing_form(C)
-    monkeypatch.setattr(liemodels, "_BLOCK_BYTES", 0)  # one a per run
+    monkeypatch.setattr(spaces, "_BLOCK_BYTES", 0)  # one a per run
     assert np.max(np.abs(liemodels._killing_form(C) - default)) <= 1e-15 * np.max(np.abs(default))
 
 
@@ -680,3 +663,25 @@ def test_killing_form_of_so16_2_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak - K.nbytes <= 2 * 2**20
+
+
+# rows larger than the table's: N = 153 brackets of 18 x 18 matrices, N = 80 of 18 x 18
+@pytest.mark.parametrize("family,params", [("so_p_2", (16,)), ("su_pq", (5, 4))])
+def test_structure_constants_of_large_rows_match_the_loop_oracle(family, params):
+    l_mats, p_mats = liemodels._FAMILY_TABLE[family].basis(*params)
+    mats = np.array(l_mats + p_mats, dtype=float)
+    assert rel_err(liemodels._structure_constants(mats), structure_constants_loops(mats)) <= 1e-12
+
+
+def test_structure_constants_of_so16_2_stay_within_a_few_rows():
+    # one bracket row at a time: beside C it holds a row's brackets, coordinates and
+    # residual and the pseudo-inverse, 2.1 MiB (packed runs of rows held 5.4 MiB)
+    l_mats, p_mats = liemodels._FAMILY_TABLE["so_p_2"].basis(16)
+    mats = np.array(l_mats + p_mats, dtype=float)
+    tracemalloc.start()
+    try:
+        C = liemodels._structure_constants(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - C.nbytes <= 3 * 2**20

@@ -343,11 +343,12 @@ def test_canonical_weights_annihilate_omega(d, variant):
 def test_reeb_term_broken_path_matches_loop_oracle(d, plus):
     # on a general 2-form-valued F the -Q term contributes, so the oracle's
     # T = b(Q) - Q pins the sign that the admissible path cannot see
-    source, target, fiber = make_space(d, with_torsion=True), make_space(2, with_torsion=True), 2
+    source, target = make_space(d, with_torsion=True), make_space(2, with_torsion=True)
+    fiber = maps._FIBER_DIM
     variants = ["jplus_primitive", "tau_jplus_primitive"] if plus else ["jminus", "tau_jminus"]
     seen = set()
     for seed in range(6):
-        (got,) = maps._resid_reeb_term([np.random.default_rng(seed)], source, target, fiber, True, plus)
+        (got,) = maps._resid_reeb_term([np.random.default_rng(seed)], source, target, True, plus)
         rng = np.random.default_rng(seed)  # the same draws, in the same order
         variant = variants[int(rng.integers(2))]
         v = rng.standard_normal(fiber)
@@ -418,17 +419,6 @@ def spy_identities(monkeypatch) -> list:
     return blocks
 
 
-@pytest.mark.parametrize("negative_control", [False, True])
-@pytest.mark.parametrize("fiber_dim", [0, -1])
-def test_identity_suite_rejects_an_empty_fiber(monkeypatch, fiber_dim, negative_control):
-    # with no fiber components qform_traceless_reduction and both reeb_term
-    # identities read 0 = 0 and pass, their negative controls too
-    blocks = spy_identities(monkeypatch)
-    with pytest.raises(ValueError, match="fiber_dim"):
-        identity_suite(2, 2, fiber_dim=fiber_dim, negative_control=negative_control)
-    assert blocks == []
-
-
 def test_identity_suite_rejects_a_smaller_target_before_any_identity(monkeypatch):
     blocks = spy_identities(monkeypatch)
     with pytest.raises(ValueError, match="target half-dimension"):
@@ -453,8 +443,8 @@ def test_identity_block_gives_the_batch_of_one_residuals(name, fn, kw, broken):
     def rngs(trials):
         return [np.random.default_rng((4, trial, 1)) for trial in trials]
 
-    block = fn(rngs(range(7)), source, target, 3, broken, **kw)
-    one_by_one = np.concatenate([fn(rngs([t]), source, target, 3, broken, **kw) for t in range(7)])
+    block = fn(rngs(range(7)), source, target, broken, **kw)
+    one_by_one = np.concatenate([fn(rngs([t]), source, target, broken, **kw) for t in range(7)])
     assert block.shape == (7,)
     assert np.all(np.abs(block - one_by_one) <= 1e-12 * np.maximum(1.0, np.abs(one_by_one)))
 
@@ -539,5 +529,5 @@ def test_cr_structure_residual_keeps_a_nan(monkeypatch):
     monkeypatch.setattr(maps, "two_tensor_j_split", lambda space, s, batch=0: (np.full_like(s, np.nan), s))
     source, target = make_space(2, with_torsion=True), make_space(3, with_torsion=True)
     rngs = [np.random.default_rng(seed) for seed in range(3)]
-    resid = maps._resid_cr_structure(rngs, source, target, 1, False)
+    resid = maps._resid_cr_structure(rngs, source, target, False)
     assert resid.shape == (3,) and np.isnan(resid).all()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -539,6 +544,58 @@ def test_row_blocked_residual_is_the_whole_residual_bit_for_bit(monkeypatch, che
     assert values[0].shape == whole.shape
     for got in values:
         assert np.array_equal(got, whole)
+
+
+# (count, unit bytes) of each caller of `_blocks`: rows of a 4-tensor grid or stack
+# in the Curv4 checks (a row of 30 stacked n = 24 grids is over the budget), runs
+# of a in the Killing form, trials of the identity suite
+BLOCK_CALLERS = {
+    "rows_d12": (24, 24**3 * 8),
+    "rows_d12_stack3": (24, 3 * 24**3 * 8),
+    "rows_d12_stack30": (24, 30 * 24**3 * 8),
+    "rows_d2": (4, 4**3 * 8),
+    "killing_su43": (48, 48 * 48 * 8),
+    "killing_so16_2": (153, 153 * 153 * 8),
+    "trials_d8": (5, 8 * 16**4),
+    "trials_d8_many": (30, 8 * 16**4),
+    "trials_d3": (100, 8 * 6**4),
+}
+
+
+@pytest.mark.parametrize("count,unit", BLOCK_CALLERS.values(), ids=list(BLOCK_CALLERS))
+def test_blocks_tile_the_count_within_the_budget(count, unit):
+    blocks = spaces._blocks(count, unit)
+    tiles = [list(range(count)[b]) for b in blocks]
+    assert sum(tiles, []) == list(range(count))  # consecutive, in order, each unit once
+    assert all(len(t) * unit <= spaces._BLOCK_BYTES or len(t) == 1 for t in tiles)
+    if count * unit <= spaces._BLOCK_BYTES:
+        assert blocks == [slice(None)]  # a count that fits is one block, a view of all of it
+    # the step arithmetic that each caller did on its own
+    step = max(1, spaces._BLOCK_BYTES // unit)
+    assert tiles == [list(range(x, min(x + step, count))) for x in range(0, count, step)]
+
+
+def test_the_first_failing_tag_does_not_depend_on_the_hash_seed():
+    # a Gaussian grid fails all three Kähler tags; the declared tags are a frozenset,
+    # whose iteration order follows the string hash seed, but the check names the
+    # first failing tag in `CURV4_TAGS` order
+    code = (
+        "import numpy as np\n"
+        "from pherm.spaces import KAHLER_TAGS, Curv4, antisym_pairs_grid, make_space\n"
+        "q = antisym_pairs_grid(np.random.default_rng(0).standard_normal((4,) * 4))\n"
+        "try:\n"
+        "    Curv4(make_space(2), q, KAHLER_TAGS)\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    src = str(Path(spaces.__file__).resolve().parent.parent)
+    messages = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed), "OPENBLAS_NUM_THREADS": "1"}
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        messages.add(res.stdout.strip())
+    assert messages == {"declared tag 'pair_symmetric' fails its projector check"}
 
 
 def _first_and_last_row_blocks(q):
