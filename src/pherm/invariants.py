@@ -206,7 +206,7 @@ def first_bianchi_residual(rh: Curv4, space: Optional[HorizontalSpace] = None) -
 # sectional curvatures
 # ---------------------------------------------------------------------------
 
-_BLOCK = 64  # planes per batched draw; one 1000-plane block raised peak memory by 17 %
+_BLOCK = 64  # planes per batched draw; one 1000-plane block raised peak memory by 12 %
 
 
 def _sample_count(n, least: int) -> int:
@@ -221,40 +221,30 @@ def _wedge_op(rw: Curv4) -> tuple:
     return (hat(rw).entries, *_wedge_indices(rw.space))
 
 
-def _plane_pairing(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """q(X, Y, conj X, conj Y) for every row of the (k, n) arrays X and Y,
-    where op = `_wedge_op(q)`.
+def _plane_curvatures(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Curvatures q(X, Y, conj X, conj Y) / |X ^ Y|^2 of the non-degenerate
+    planes among the rows of the (k, n) arrays X, Y, in row order, where
+    op = `_wedge_op(q)`; degenerate planes are dropped.
 
-    q is antisymmetric in each slot pair, so only the wedge components
-    w_ab = X_a Y_b - X_b Y_a (a < b) enter: q(X, Y, conj X, conj Y) =
-    sum_(ab, cd) w_ab hat(q)[cd, ab] conj(w_cd), one real (k, m) by (m, m)
-    product with m = n(n-1)/2.  A complex w enters it as [Re w; Im w].
+    Each plane enters only through its wedge components w_ab = X_a Y_b -
+    X_b Y_a (a < b).  q is antisymmetric in each slot pair, so the numerator
+    is sum_(ab, cd) w_ab hat(q)[cd, ab] conj(w_cd), one real (k, m) by (m, m)
+    product with m = n(n-1)/2 (a complex w enters it as [Re w; Im w]), and
+    by Lagrange's identity |w|^2 is the Gram determinant
+    |X|^2 |Y|^2 - |<X, conj Y>|^2 without its cancellation.
     """
     qhat, a, b = op
     w = X[:, a] * Y[:, b] - X[:, b] * Y[:, a]
+    den = np.vecdot(w, w).real
+    keep = den > 1e-14
+    if not keep.all():  # a degenerate plane is rare: gather only then
+        w, den = w[keep], den[keep]
     if np.iscomplexobj(w):
         p = np.concatenate((w.real, w.imag)) @ qhat.T
         p = p[: len(w)] + 1j * p[len(w) :]
     else:
         p = w @ qhat.T
-    return np.vecdot(w, p)  # vecdot conjugates w
-
-
-def _plane_norm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Gram determinant |X|^2 |Y|^2 - |<X, conj Y>|^2 of every row pair."""
-    xx = np.einsum("kx,kx->k", X, X.conj()).real
-    yy = np.einsum("kx,kx->k", Y, Y.conj()).real
-    return xx * yy - np.abs(np.einsum("kx,kx->k", X, Y.conj())) ** 2
-
-
-def _plane_curvatures(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Curvatures of the non-degenerate planes among the rows of X, Y, in
-    row order; degenerate planes are dropped."""
-    den = _plane_norm(X, Y)
-    keep = den > 1e-14
-    if not keep.all():  # a degenerate plane is rare: gather only then
-        X, Y, den = X[keep], Y[keep], den[keep]
-    num = _plane_pairing(op, X, Y)
+    num = np.vecdot(w, p)  # vecdot conjugates w
     if np.any(np.abs(num.imag) > TOL * np.maximum(1.0, np.abs(num.real))):
         raise ArithmeticError("complex sectional value is not real")
     return num.real / den

@@ -102,15 +102,10 @@ def _normals(rngs, *shapes) -> list:
     return [np.stack([rng.standard_normal(shape) for rng in rngs]) for shape in shapes]
 
 
-def random_map_datum(
-    source: HorizontalSpace,
-    target: HorizontalSpace,
-    seed,
-    f: float = 1.0,
-) -> MapDatum:
+def random_map_datum(source: HorizontalSpace, target: HorizontalSpace, seed) -> MapDatum:
     """Free horizontal map data (no CR constraint)."""
     dphi, v, m = _random_map_data(source, target, [seed])
-    return MapDatum(source, target, f, dphi[0], v[0], m[0], is_cr=False)
+    return MapDatum(source, target, 1.0, dphi[0], v[0], m[0], is_cr=False)
 
 
 def _random_map_data(source, target, seeds) -> tuple:
@@ -395,7 +390,7 @@ def _resid_reeb_term(rngs, source, target, broken, plus: bool):
     tests pin the sign there against an oracle.
     """
     variants = ("jplus_primitive", "tau_jplus_primitive") if plus else ("jminus", "tau_jminus")
-    Q, trq = _weights(source, variants[: 1 + source.has_torsion], rngs)
+    Q, trq = _weights(source, variants, rngs)
     T = bianchi_grid(Q) - Q
     (v,) = _normals(rngs, _FIBER_DIM)
     if broken:

@@ -26,9 +26,6 @@ from typing import Collection, Iterable, Optional
 
 import numpy as np
 
-# Identities that are plain products/sums of O(d^2) frame components are
-# checked to EXACT_TOL; doubly contracted O(d^4) identities to TOL.
-EXACT_TOL = 1e-12
 TOL = 1e-9
 
 SYMMETRIES = ("symmetric", "antisymmetric", "general")

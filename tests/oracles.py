@@ -228,20 +228,33 @@ def two_tensor_j_split_einsum(J, s):
     return 0.5 * (s + js), 0.5 * (s - js)
 
 
+# The plane oracles compute in extended precision (a float64 input converts
+# exactly), so their own rounding, and the cancellation in the Gram
+# determinant |X|^2 |Y|^2 - |<X, conj Y>|^2, stay far below the 1e-12 bounds.
+
+def _extended(*arrays):
+    return [np.asarray(a, dtype=np.clongdouble if np.iscomplexobj(a) else np.longdouble) for a in arrays]
+
+
+def gram_extended(X, Y):
+    X, Y = _extended(X, Y)
+    return np.real(X @ X.conj()) * np.real(Y @ Y.conj()) - abs(X @ Y.conj()) ** 2
+
+
 def sectional_einsum(q, X, Y):
+    q, X, Y = _extended(q, X, Y)
     num = np.einsum("xyzw,x,y,z,w->", q, X, Y, X, Y)
-    return num / ((X @ X) * (Y @ Y) - (X @ Y) ** 2)
+    return float(num / gram_extended(X, Y))
 
 
 def complex_pairing_einsum(q, Z, W):
     """q(Z, W, conj Z, conj W); not real when q is not pair symmetric."""
-    return np.einsum("xyzw,x,y,z,w->", q, Z, W, Z.conj(), W.conj())
+    q, Z, W = _extended(q, Z, W)
+    return complex(np.einsum("xyzw,x,y,z,w->", q, Z, W, Z.conj(), W.conj()))
 
 
 def complex_sectional_einsum(q, Z, W):
-    num = complex_pairing_einsum(q, Z, W)
-    den = np.real(Z @ Z.conj()) * np.real(W @ W.conj()) - abs(Z @ W.conj()) ** 2
-    return num.real / den
+    return complex_pairing_einsum(q, Z, W).real / float(gram_extended(Z, W))
 
 
 def sample_curvatures_loop(q, J, n, seed):
@@ -277,8 +290,7 @@ def sample_curvatures_loop(q, J, n, seed):
         vals = []
         while len(vals) < n:
             X, Y, value = draw()
-            gram = np.real(X @ X.conj()) * np.real(Y @ Y.conj()) - abs(X @ Y.conj()) ** 2
-            if gram > 1e-14:
+            if gram_extended(X, Y) > 1e-14:
                 vals.append(value(q, X, Y))
         out[name] = (min(vals), max(vals))
     return out

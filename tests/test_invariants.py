@@ -11,6 +11,7 @@ from pherm import (
     first_bianchi_residual,
     full_curvature,
     fundamental_form,
+    hat,
     holomorphic_sectional,
     invariants,
     kulkarni,
@@ -286,6 +287,18 @@ def test_sample_curvatures_match_loop_oracle(d, torsion, n):
     sp = make_space(d, with_torsion=torsion)
     q = random_curv4(sp, KAHLER_TAGS, seed=d)
     _assert_ranges_match(sample_curvatures(q, n=n, seed=n), sample_curvatures_loop(q.entries, sp.J, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 64, 200])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("torsion", [False, True])
+def test_sampled_ranges_are_exact_at_d1(torsion, seed, n):
+    # at d = 1 every plane is the whole horizontal space, so every sampled
+    # curvature is the one wedge component hat(q)[0, 0], up to a few roundings
+    q = random_curv4(make_space(1, with_torsion=torsion), KAHLER_TAGS, seed=seed)
+    want = hat(q).entries[0, 0]
+    for name, got in sample_curvatures(q, n=n, seed=seed).items():
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15 * abs(want), name
 
 
 class _FlatStream:

@@ -238,3 +238,52 @@ def test_the_block_budget_guard_sees_an_import_and_a_use():
         "cap = _BLOCK_BYTES\n"
     )
     assert names_of(tree, "_BLOCK_BYTES") == [1, 4, 5]
+
+
+def unread_module_names(trees: dict[str, ast.AST]) -> list[str]:
+    """`module.NAME` for each name assigned at the top level of a module
+    (dunders exempt) that no module reads: not as a loaded name, an
+    attribute or an imported name."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                unread += [
+                    f"{module}.{node.id}"
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name)
+                    and not (node.id.startswith("__") and node.id.endswith("__"))
+                    and node.id not in read
+                ]
+    return unread
+
+
+def test_every_module_level_name_is_read():
+    # a constant that nothing reads documents a decision the code no longer makes
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert unread_module_names(trees) == []
+
+
+def test_the_unread_name_guard_sees_an_unread_constant():
+    trees = {
+        "low": ast.parse("USED = 1\nIMPORTED = 2\nVIA_ATTR = 3\nSTALE = 4\n__version__ = '0'\n"),
+        "high": ast.parse(
+            "from .low import IMPORTED\n"
+            "from . import low\n"
+            "LOCAL: int = 5\n"
+            "def f():\n"
+            "    return USED + low.VIA_ATTR + LOCAL\n"
+        ),
+    }
+    assert unread_module_names(trees) == ["low.STALE"]
