@@ -256,7 +256,7 @@ def unread_module_names(trees: dict[str, ast.AST]) -> list[str]:
     unread = []
     for module, tree in sorted(trees.items()):
         for stmt in tree.body:
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 unread += [
                     f"{module}.{node.id}"
