@@ -50,7 +50,6 @@ from .invariants import (
     first_bianchi_residual,
     full_curvature,
     holomorphic_sectional,
-    invariants,
     sample_curvatures,
     scalar_curvature,
     sectional,

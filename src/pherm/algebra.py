@@ -85,9 +85,9 @@ def hat(q: Curv4) -> Endo2Forms:
     return Endo2Forms(q.space, q.entries[_wedge_index(q.space)])
 
 
-def unhat(e: Endo2Forms, tags=frozenset()) -> Curv4:
+def unhat(e: Endo2Forms) -> Curv4:
     """Inverse of `hat`: rebuild the 4-tensor from the wedge-basis grid."""
-    return Curv4(e.space, _unhat_grid(e.space, e.entries), frozenset(tags))
+    return Curv4(e.space, _unhat_grid(e.space, e.entries))
 
 
 def _unhat_grid(space: HorizontalSpace, e: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .invariants import (
     first_bianchi_residual,
     full_curvature,
     invariants,
+    sample_curvatures,
     scalar_curvature,
     torsion_curvature,
 )
@@ -46,7 +47,7 @@ from .liemodels import (
     kappa,
     model_curvature,
 )
-from .maps import IdentityResult, canonical_Q, canonical_q_reference, fold_residuals, identity_suite
+from .maps import Q_VARIANTS, IdentityResult, canonical_Q, canonical_q_reference, fold_residuals, identity_suite
 from .spaces import SpaceMismatchError, TagError, make_space
 
 SCHEMA_VERSION = "1"
@@ -160,19 +161,17 @@ def cmd_model(config: RunConfig) -> dict:
             # omega for dimension reasons, so the flag is trivially true
             block.update({"s": scalar_curvature(rw), "pseudo_einstein": True, "cm_norm2": None})
         else:
-            rep = invariants(rw, samples=config.samples, seed=config.seeds[0])
+            rep = invariants(rw)
+            ranges = sample_curvatures(rw, config.samples, config.seeds[0])
             block.update(
                 {
                     "s": rep.scalar,  # the report's one Ricci contraction
                     "pseudo_einstein": rep.pseudo_einstein,
                     "cm_norm2": rep.cm_norm2,
-                    "c0_prime": _c0_prime(rw, rep.scalar) if abs(rep.scalar) > 1e-12 else None,
+                    # s < 0 here: beta is negative definite on l, which holds [p, p] != 0
+                    "c0_prime": _c0_prime(rw, rep.scalar),
                     "kappa": kappa(rw),
-                    "curvature_ranges": {
-                        "sectional": list(rep.sectional_range),
-                        "holomorphic": list(rep.holomorphic_range),
-                        "complex_sectional": list(rep.complex_sectional_range),
-                    },
+                    "curvature_ranges": {name: list(r) for name, r in ranges.items()},
                 }
             )
         blocks.append(block)
@@ -189,7 +188,7 @@ def _canonical_q_suite(tolerance: float) -> IdentityResult:
     residuals = []
     for d in (2, 3, 4):
         space = make_space(d, with_torsion=True)
-        for variant in ("jminus", "jplus_primitive", "tau_jminus", "tau_jplus_primitive"):
+        for variant in Q_VARIANTS:
             Q = canonical_Q(space, variant)
             ref_tr, ref_c = canonical_q_reference(variant, d)
             cvals = ricci_contraction(Q).entries
@@ -202,8 +201,8 @@ def _bianchi_model_suite(tolerance: float) -> IdentityResult:
     residuals = []
     for d in (2, 3):
         space = make_space(d, with_torsion=True)
-        rw, _ = torsion_curvature(space, -2.0 * d)
-        residuals.append(first_bianchi_residual(full_curvature(rw), space))
+        rw, _ = torsion_curvature(space)
+        residuals.append(first_bianchi_residual(full_curvature(rw)))
     return fold_residuals("torsion_model_first_bianchi", residuals, tolerance)
 
 

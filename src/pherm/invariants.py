@@ -44,9 +44,6 @@ class InvariantReport:
     cm: Curv4
     cm_norm2: float
     pseudo_einstein: bool
-    sectional_range: Optional[tuple[float, float]] = None
-    holomorphic_range: Optional[tuple[float, float]] = None
-    complex_sectional_range: Optional[tuple[float, float]] = None
 
 
 def _require_admissible(rw: Curv4):
@@ -55,15 +52,13 @@ def _require_admissible(rw: Curv4):
         raise ValueError(f"curvature tensor lacks required tags: {sorted(missing)}")
 
 
-def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
+def invariants(rw: Curv4) -> InvariantReport:
     """Ricci data, trace decomposition and Chern-Moser remainder of rw.
 
     The decomposition is rejected at d = 1 where the primitive complement
-    degenerates.  With samples > 0 the report also carries min/max sampled
-    curvatures (deterministic in the seed).
+    degenerates.  Sampled curvature ranges come from `sample_curvatures`.
     """
     _require_admissible(rw)
-    _sample_count(samples, least=0)
     space = rw.space
     d = space.d
     if d < 2:
@@ -94,9 +89,6 @@ def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
     pe_resid = np.max(np.abs(rho.entries + (scalar / space.n) * space.omega))
     pseudo_einstein = bool(pe_resid <= TOL * max(1.0, abs(scalar)))
 
-    ranges = {}
-    if samples > 0:
-        ranges = sample_curvatures(rw, samples, seed)
     return InvariantReport(
         ric=ric,
         scalar=scalar,
@@ -106,9 +98,6 @@ def invariants(rw: Curv4, samples: int = 0, seed: int = 0) -> InvariantReport:
         cm=cm,
         cm_norm2=norm2(cm),
         pseudo_einstein=pseudo_einstein,
-        sectional_range=ranges.get("sectional"),
-        holomorphic_range=ranges.get("holomorphic"),
-        complex_sectional_range=ranges.get("complex_sectional"),
     )
 
 
@@ -191,10 +180,10 @@ def torsion_minus_part(space: HorizontalSpace) -> np.ndarray:
     )
 
 
-def first_bianchi_residual(rh: Curv4, space: Optional[HorizontalSpace] = None) -> float:
+def first_bianchi_residual(rh: Curv4) -> float:
     """Max-norm failure of the torsion first Bianchi identity: the cyclic
     sum of R_H must equal the cyclic omega (x) A coupling term."""
-    space = space or rh.space
+    space = rh.space
     b = bianchi_grid(rh.entries)
     if space.has_torsion:
         wa = np.einsum("xy,zw->xyzw", space.omega, space.A)
@@ -207,13 +196,6 @@ def first_bianchi_residual(rh: Curv4, space: Optional[HorizontalSpace] = None) -
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # planes per batched draw; one 1000-plane block raised peak memory by 12 %
-
-
-def _sample_count(n, least: int) -> int:
-    """n as an int; a bool, a non-integral count or n < least is rejected."""
-    if isinstance(n, bool) or not hasattr(n, "__index__") or n < least:
-        raise ValueError(f"sample count must be an integer >= {least}, got {n!r}")
-    return operator.index(n)
 
 
 def _wedge_op(rw: Curv4) -> tuple:
@@ -274,7 +256,9 @@ def complex_sectional(rw: Curv4, Z: np.ndarray, W: np.ndarray) -> float:
 
 def sample_curvatures(rw: Curv4, n: int = 1000, seed: int = 0) -> dict:
     """Deterministically sampled (min, max) curvature ranges."""
-    n = _sample_count(n, least=1)
+    if isinstance(n, bool) or not hasattr(n, "__index__") or n < 1:
+        raise ValueError(f"sample count must be an integer >= 1, got {n!r}")
+    n = operator.index(n)
     rng = np.random.default_rng(seed)
     op = _wedge_op(rw)
     dim = rw.space.n

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .spaces import (
     Bil2,
     Curv4,
     HorizontalSpace,
-    SpaceMismatchError,
     TOL,
     _blocks,
     _check_curv4,
@@ -42,10 +40,10 @@ from .spaces import (
     slot_contract,
 )
 from .algebra import _unhat_grid, _wedge_index, canonical_tensors, hat, ring_action, two_tensor_j_split
-from .invariants import companion_tensor, torsion_minus_part
+from .invariants import torsion_minus_part
 
 
-Q_VARIANTS = ("jminus", "jplus_primitive", "companion", "tau_jminus", "tau_jplus_primitive")
+Q_VARIANTS = ("jminus", "jplus_primitive", "tau_jminus", "tau_jplus_primitive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,18 +156,12 @@ def _cr_map_data(source, target, f: np.ndarray, seeds) -> tuple:
 # canonical test tensors
 # ---------------------------------------------------------------------------
 
-def canonical_Q(space: HorizontalSpace, variant: str, rw: Optional[Curv4] = None) -> Curv4:
+def canonical_Q(space: HorizontalSpace, variant: str) -> Curv4:
     """The canonical tensors used as weights in the bilinear identities.
 
-    Every variant but 'companion' (built from rw on each call) is built, and
-    its tags checked, once per space and variant, then shared read-only.
+    Each variant is built, and its tags checked, once per space and variant,
+    then shared read-only; the companion weight is `companion_tensor(rw)`.
     """
-    if variant == "companion":
-        if rw is None:
-            raise ValueError("variant 'companion' needs a curvature argument")
-        if rw.space.d != space.d:
-            raise SpaceMismatchError("the curvature argument lives on another space")
-        return companion_tensor(rw)
     return _canonical_Q(space, variant)
 
 
@@ -282,9 +274,7 @@ def curvature_terms(q_target: Curv4, m: MapDatum) -> MapTermReport:
     k = float(np.einsum("ijij->", slot_contract(q_target.entries, U, U, U, U)))
 
     q_gradient, q_traces, q_curvature = {}, {}, {}
-    variants = ["jminus", "jplus_primitive"]
-    if m.source.has_torsion:
-        variants += ["tau_jminus", "tau_jplus_primitive"]
+    variants = [v for v in Q_VARIANTS if m.source.has_torsion or not v.startswith("tau_")]
     if d < 2:  # canonical_Q has no primitive weight at d = 1
         variants = [v for v in variants if not v.endswith("primitive")]
     delta = m.delta

@@ -13,6 +13,7 @@ from pherm import (
     c0_prime,
     canonical_Q,
     closed_form_constants,
+    companion_tensor,
     complex_sectional,
     cr_map_datum,
     curvature_terms,
@@ -21,7 +22,6 @@ from pherm import (
     fundamental_form,
     hat,
     identity_suite,
-    invariants,
     kappa,
     kulkarni,
     make_space,
@@ -37,6 +37,7 @@ from pherm import (
     torsion_curvature,
     torsion_forms,
 )
+from pherm.invariants import invariants
 from pherm.maps import canonical_q_reference
 from pherm.spaces import Curv4
 
@@ -108,13 +109,13 @@ def test_criterion_4_pseudo_einstein_and_bianchi():
             # construction already verifies pair symmetry, Ker b, J-invariance
             assert rw.tags == frozenset({"pair_symmetric", "bianchi_closed", "j_plus"})
             assert invariants(rw).pseudo_einstein
-            assert first_bianchi_residual(full_curvature(rw), rw.space) <= 1e-9
+            assert first_bianchi_residual(full_curvature(rw)) <= 1e-9
         for d in (2, 3):
             sp = make_space(d, with_torsion=True)
             s = -2.0 * d
             rw, _ = torsion_curvature(sp, s)
             assert invariants(rw).pseudo_einstein
-            assert first_bianchi_residual(full_curvature(rw), sp) <= 1e-9
+            assert first_bianchi_residual(full_curvature(rw)) <= 1e-9
             conj = np.einsum("ax,by,abzw->xyzw", sp.tau, sp.tau, rw.entries)
             w = fundamental_form(sp)
             expect = rw.entries - (s / (2.0 * d * d)) * sym_product(w, w)
@@ -188,7 +189,7 @@ def test_criterion_6_q_tensor_constants():
                 assert np.max(np.abs(c - ref_c * np.eye(2 * d))) <= 1e-12, (variant, d)
         for family, params in (("su_pq", (2, 2)), ("so_p_2", (3,))):
             rw = model_curvature(build_model(family, params))
-            Q = canonical_Q(rw.space, "companion", rw=rw)
+            Q = companion_tensor(rw)
             assert abs(scalar_product(Q, primitive_part(rw))) <= 1e-9
 
 

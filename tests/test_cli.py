@@ -71,6 +71,25 @@ def test_model_command_blocks():
         cmd_model(RunConfig(command="model"))
 
 
+@pytest.mark.parametrize(
+    "family,params,flat,s,cm_norm2",
+    [
+        ("heisenberg", [2], True, 0.0, 0.0),
+        # su(1,1) and sp(1,R) are the same Lie algebra, so the same d = 1 model
+        ("su_pq", [1, 1], False, -1.0, None),
+        ("sp_p_R", [1], False, -1.0, None),
+    ],
+)
+def test_model_blocks_without_a_trace_decomposition(family, params, flat, s, cm_norm2):
+    # the flat and d = 1 blocks carry no sampled ranges and no constants
+    block = cmd_model(RunConfig(command="model", models=[[family, params]], samples=5))["models"][0]
+    assert set(block) == {"family", "params", "d", "flat", "s", "pseudo_einstein", "cm_norm2"}
+    assert block["flat"] is flat
+    assert block["s"] == pytest.approx(s, abs=1e-12)
+    assert block["pseudo_einstein"] is True
+    assert block["cm_norm2"] == cm_norm2
+
+
 def test_report_determinism_byte_identical():
     cfg = RunConfig(command="table", models=[["su_pq", [2, 1]], ["sp_p_R", [2]]])
     a = render_document(cmd_table(cfg))

@@ -285,5 +285,49 @@ def test_the_unread_name_guard_sees_an_unread_constant():
             "def f():\n"
             "    return USED + low.VIA_ATTR + LOCAL\n"
         ),
+        # `X += 1` stores X without reading it in the guard's eyes, and the
+        # binding it needs is checked as the plain assignment before it
+        "aug": ast.parse("X = 1\nX += 1\n"),
     }
-    assert unread_module_names(trees) == ["low.STALE"]
+    assert unread_module_names(trees) == ["aug.X", "low.STALE"]
+
+
+def unread_imports(tree: ast.AST) -> list[str]:
+    """Names that a module binds by `import` or `from ... import` (anywhere
+    in it, `__future__` features exempt) and never reads as a loaded name."""
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(set(bound) - read)
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_every_imported_name_is_read_in_its_module(module):
+    # an import whose last reader was deleted hides a dependency the module
+    # no longer has; `__init__` imports to re-export and is exempt
+    unread = unread_imports(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")))
+    assert unread == [], f"{module}: imported but never read: {unread}"
+
+
+def test_the_unread_import_guard_sees_an_orphaned_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .spaces import Curv4, TagError, make_space\n"
+        "def f(q: Curv4):\n"
+        "    from .algebra import hat\n"
+        "    return np.asarray(hat(q)), os.sep, make_space\n"
+        "def g():\n"
+        "    from .maps import canonical_Q\n"
+    )
+    assert unread_imports(tree) == ["TagError", "canonical_Q"]

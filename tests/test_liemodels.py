@@ -21,7 +21,6 @@ from pherm import (
     closed_form_constants,
     hat,
     holonomy_commutant_dim,
-    invariants,
     kappa,
     companion_tensor,
     make_space,
@@ -33,6 +32,7 @@ from pherm import (
     scalar_product,
     space_form,
 )
+from pherm.invariants import invariants
 
 from conftest import load_workloads
 from oracles import (

@@ -13,6 +13,7 @@ from pherm import (
     build_model,
     canonical_Q,
     canonical_tensors,
+    companion_tensor,
     cr_map_datum,
     curvature_terms,
     hat,
@@ -66,23 +67,26 @@ def test_canonical_q_frozen_examples():
 
 def test_canonical_q_errors():
     sp = make_space(2)
-    rw = model_curvature(build_model("su_pq", (2, 1)))  # d = 2
     cases = [
-        (sp, "tau_jminus", {}),  # needs torsion
-        (sp, "tau_jplus_primitive", {}),
-        (sp, "companion", {}),  # needs a curvature argument
-        (make_space(3), "companion", {"rw": rw}),
-        (sp, "nonsense", {}),
-        (make_space(1), "jplus_primitive", {}),
-        (make_space(1, with_torsion=True), "tau_jplus_primitive", {}),
+        (sp, "tau_jminus"),  # needs torsion
+        (sp, "tau_jplus_primitive"),
+        (sp, "nonsense"),
+        (make_space(1), "jplus_primitive"),
+        (make_space(1, with_torsion=True), "tau_jplus_primitive"),
     ]
     for _ in range(2):  # the cache keeps no failed build: each call raises again
-        for space, variant, kw in cases:
+        for space, variant in cases:
             with pytest.raises(ValueError):
-                canonical_Q(space, variant, **kw)
+                canonical_Q(space, variant)
 
 
 SPACE_ONLY_VARIANTS = ("jminus", "jplus_primitive", "tau_jminus", "tau_jplus_primitive")
+
+
+def test_q_variants_are_the_space_only_weights():
+    # in this order, the order of the MapTermReport dicts; the companion
+    # weight depends on a curvature and comes from companion_tensor(rw)
+    assert maps.Q_VARIANTS == SPACE_ONLY_VARIANTS
 
 
 @pytest.mark.parametrize("variant", SPACE_ONLY_VARIANTS)
@@ -133,7 +137,7 @@ def test_warm_identity_suite_proves_few_tags(monkeypatch):
 
 def test_canonical_q_companion_variant():
     rw = model_curvature(build_model("su_pq", (2, 2)))
-    Q = canonical_Q(rw.space, "companion", rw=rw)
+    Q = companion_tensor(rw)
     from pherm import primitive_part
 
     assert abs(scalar_product(Q, primitive_part(rw))) < 1e-9

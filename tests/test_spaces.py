@@ -254,7 +254,7 @@ def test_wedge_basis_and_hat_roundtrip(d):
     assert len(pairs) == d * (2 * d - 1)
     assert pairs == sorted(pairs)
     q = random_curv4(sp, {"pair_symmetric"}, seed=11)
-    back = unhat(hat(q), tags=q.tags)
+    back = Curv4(q.space, unhat(hat(q)).entries, q.tags)
     assert np.array_equal(back.entries, q.entries)  # exact round trip
 
 
