@@ -178,26 +178,34 @@ def two_tensor_j_split(
     return 0.5 * (s + js), 0.5 * (s - js)
 
 
+# the canonical weights of the map identities, in report order; the companion
+# weight depends on a curvature and comes from `invariants.companion_tensor`
+Q_VARIANTS = ("jminus", "jplus_primitive", "tau_jminus", "tau_jplus_primitive")
+
+
 @dataclass(frozen=True, eq=False)
 class CanonicalTensors:
-    """The curvature tensors canonically attached to the frame data."""
+    """The curvature tensors canonically attached to the frame data; a
+    tensor the space does not admit is None."""
 
-    gkg: Curv4
-    wkw: Curv4
-    wsw: Curv4
     Ic: Curv4
     Ic0: Curv4
-    T: Optional[Curv4] = None
-    T0: Optional[Curv4] = None
-    torsion_rw: Optional[Curv4] = None
-    torsion_cm: Optional[Curv4] = None
+    T: Optional[Curv4]
+    T0: Optional[Curv4]
+    torsion_rw: Optional[Curv4]
+    torsion_cm: Optional[Curv4]
+    jminus: Curv4
+    jplus_primitive: Optional[Curv4]
+    tau_jminus: Optional[Curv4]
+    tau_jplus_primitive: Optional[Curv4]
 
 
 def canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
-    """Build g%g, omega%omega, omega.omega, the constant-holomorphic-
-    curvature tensor I^C, its primitive part, and (with torsion) the
-    torsion tensor (1/8)(A%A + B%B), its primitive part and (at d >= 2) the
-    s = -2d parallel-torsion model of `invariants.torsion_curvature`.
+    """Build the constant-holomorphic-curvature tensor I^C, its primitive
+    part, (with torsion) the torsion tensor (1/8)(A%A + B%B), its primitive
+    part and (at d >= 2) the s = -2d parallel-torsion model of
+    `invariants.torsion_curvature`, and the canonical weights `Q_VARIANTS`:
+    the tau weights need torsion and the primitive ones d >= 2.
 
     The tensors depend only on the frame, so they are built, and their tags
     checked, once per space (keyed by identity) and then shared; their
@@ -208,33 +216,42 @@ def canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
 
 @functools.lru_cache(maxsize=16)  # bounds what large or hand-built spaces keep alive
 def _canonical_tensors(space: HorizontalSpace) -> CanonicalTensors:
+    d = space.d
     g = metric_form(space)
     w = fundamental_form(space)
-    gkg = kulkarni(g, g)
-    wkw = kulkarni(w, w)
-    wsw = Curv4(
-        space,
-        sym_product_grid(w.entries, w.entries),
-        frozenset({"pair_symmetric", "j_plus"}),
-    )
-    ic_grid = (gkg.entries + wkw.entries + 2.0 * wsw.entries) / 8.0
+    # g%g, omega%omega and omega.omega, checked as their own tensors
+    gkg = kulkarni(g, g).entries
+    wkw = kulkarni(w, w).entries
+    wsw = Curv4(space, sym_product_grid(w.entries, w.entries), {"pair_symmetric", "j_plus"}).entries
+    ic_grid = (gkg + wkw + 2.0 * wsw) / 8.0
     Ic = Curv4(space, ic_grid, KAHLER_TAGS)
     # the primitive parts pick up an omega.omega component, so they leave Ker b
     Ic0 = primitive_part(Ic)
-    T = T0 = torsion_rw = torsion_cm = None
+    jminus = Curv4(space, 0.5 * (gkg - wkw), {"pair_symmetric", "j_minus"})
+    jplus_primitive = None
+    if d >= 2:
+        grid = 0.5 * (gkg + wkw - (2.0 / d) * wsw)
+        jplus_primitive = Curv4(space, grid, {"pair_symmetric", "j_plus", "primitive"})
+    T = T0 = torsion_rw = torsion_cm = tau_jminus = tau_jplus_primitive = None
     if space.has_torsion:
-        t_grid = (kulkarni_grid(space.A, space.A) + kulkarni_grid(space.B, space.B)) / 8.0
-        T = Curv4(space, t_grid, KAHLER_TAGS)
+        aka, bkb = kulkarni_grid(space.A, space.A), kulkarni_grid(space.B, space.B)
+        T = Curv4(space, (aka + bkb) / 8.0, KAHLER_TAGS)
         T0 = primitive_part(T)
-    if space.has_torsion and space.d >= 2:
-        d = space.d
+        grid = 0.25 * (gkg - wkw + aka - bkb)
+        tau_jminus = Curv4(space, grid, {"pair_symmetric", "j_minus", "tau_plus"})
+    if space.has_torsion and d >= 2:
         s = -2.0 * d  # the scalar curvature at which the Ricci form is omega
         torsion_rw = Curv4(space, (s / d**2) * (Ic.entries + T.entries), KAHLER_TAGS)
         # the omega.omega components of I^C_0/(d+1) and T_0 cancel, so the
         # Chern-Moser tensor of the model is Bianchi closed as well
         cm_grid = (s / d**2) * (Ic0.entries / (d + 1) + T0.entries)
         torsion_cm = Curv4(space, cm_grid, KAHLER_TAGS | {"primitive"})
-    for q in (gkg, wkw, wsw, Ic, Ic0, T, T0, torsion_rw, torsion_cm):
+        grid = 0.5 * (Ic0.entries - T0.entries)
+        tau_jplus_primitive = Curv4(space, grid, {"pair_symmetric", "j_plus", "primitive", "tau_minus"})
+    can = CanonicalTensors(
+        Ic, Ic0, T, T0, torsion_rw, torsion_cm, jminus, jplus_primitive, tau_jminus, tau_jplus_primitive
+    )
+    for q in vars(can).values():
         if q is not None:
             q.entries.flags.writeable = False  # shared by every caller
-    return CanonicalTensors(gkg, wkw, wsw, Ic, Ic0, T, T0, torsion_rw, torsion_cm)
+    return can

@@ -74,13 +74,16 @@ def invariants(rw: Curv4) -> InvariantReport:
         "antisymmetric",
     )
 
-    can = canonical_tensors(space)
-    scalar_piece = (scalar / (d * (d + 1))) * can.Ic.entries
-    ricci_piece = (
-        0.5 * (kulkarni_grid(ric0.entries, space.g) - kulkarni_grid(rho0.entries, space.omega))
-        - sym_product_grid(rho0.entries, space.omega)
-    ) / (d + 2)
-    cm_grid = rw.entries - scalar_piece - ricci_piece
+    # CM = R - L(h, phi) with L(h, phi) = (h%g - phi%omega)/2 - phi.omega: the
+    # Ricci piece is L(Ric_0, rho_0)/(d+2), and the scalar piece s I^C/(d(d+1))
+    # is L(c g, -c omega) with c = s/(4d(d+1)), as I^C = (g%g + omega%omega + 2 omega.omega)/8
+    c = scalar / (4 * d * (d + 1))
+    h = ric0.entries / (d + 2) + c * space.g
+    phi = rho0.entries / (d + 2) - c * space.omega
+    cm_grid = rw.entries - (
+        0.5 * (kulkarni_grid(h, space.g) - kulkarni_grid(phi, space.omega))
+        - sym_product_grid(phi, space.omega)
+    )
     cm = Curv4(space, cm_grid, KAHLER_TAGS | {"primitive"})
     scale = max(1.0, float(np.max(np.abs(rw.entries))))
     if np.max(np.abs(ricci_grid(cm_grid))) > TOL * scale:

@@ -279,8 +279,8 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
     """Construct a family member and verify its structural invariants."""
     params = tuple(int(x) for x in params)
     fam = _family(family, params)
-    if metric_scale <= 0:
-        raise ValueError("metric_scale must be positive")
+    if not (np.isfinite(metric_scale) and metric_scale > 0):  # `<= 0` lets a NaN through
+        raise ValueError("metric_scale must be positive and finite")
 
     l_mats, p_mats = fam.basis(*params)
 

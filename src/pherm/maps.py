@@ -13,7 +13,6 @@ residual is expected to be macroscopic.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,17 +32,13 @@ from .spaces import (
     dot4,
     hat_2form_grid,
     inner2,
-    kulkarni_grid,
     make_space,
     ring_grid,
     ricci_grid,
     slot_contract,
 )
-from .algebra import _unhat_grid, _wedge_index, canonical_tensors, hat, ring_action, two_tensor_j_split
+from .algebra import Q_VARIANTS, _unhat_grid, _wedge_index, canonical_tensors, hat, ring_action, two_tensor_j_split
 from .invariants import torsion_minus_part
-
-
-Q_VARIANTS = ("jminus", "jplus_primitive", "tau_jminus", "tau_jplus_primitive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,45 +154,16 @@ def _cr_map_data(source, target, f: np.ndarray, seeds) -> tuple:
 def canonical_Q(space: HorizontalSpace, variant: str) -> Curv4:
     """The canonical tensors used as weights in the bilinear identities.
 
-    Each variant is built, and its tags checked, once per space and variant,
-    then shared read-only; the companion weight is `companion_tensor(rw)`.
+    Each variant is read from the space's `canonical_tensors` record, shared
+    read-only; the companion weight is `companion_tensor(rw)`.
     """
-    return _canonical_Q(space, variant)
-
-
-@functools.lru_cache(maxsize=64)  # four variants for each space `_canonical_tensors` keeps
-def _canonical_Q(space: HorizontalSpace, variant: str) -> Curv4:
-    can = canonical_tensors(space)
-    if variant == "jminus":
-        grid = 0.5 * (can.gkg.entries - can.wkw.entries)
-        tags = {"pair_symmetric", "j_minus"}
-    elif variant == "jplus_primitive":
-        if space.d < 2:
-            raise ValueError("primitive variants require d >= 2")
-        grid = 0.5 * (
-            can.gkg.entries + can.wkw.entries - (2.0 / space.d) * can.wsw.entries
-        )
-        tags = {"pair_symmetric", "j_plus", "primitive"}
-    elif variant == "tau_jminus":
-        space.require_torsion()
-        A, B = space.A, space.B
-        grid = 0.25 * (
-            can.gkg.entries
-            - can.wkw.entries
-            + kulkarni_grid(A, A)
-            - kulkarni_grid(B, B)
-        )
-        tags = {"pair_symmetric", "j_minus", "tau_plus"}
-    elif variant == "tau_jplus_primitive":
-        space.require_torsion()
-        if space.d < 2:
-            raise ValueError("primitive variants require d >= 2")
-        grid = 0.5 * (can.Ic0.entries - can.T0.entries)
-        tags = {"pair_symmetric", "j_plus", "primitive", "tau_minus"}
-    else:
+    if variant not in Q_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; supported: {Q_VARIANTS}")
-    Q = Curv4(space, grid, tags)
-    Q.entries.flags.writeable = False  # shared by every caller
+    if variant.startswith("tau_"):
+        space.require_torsion()
+    Q = getattr(canonical_tensors(space), variant)
+    if Q is None:
+        raise ValueError("primitive variants require d >= 2")
     return Q
 
 
@@ -274,13 +240,13 @@ def curvature_terms(q_target: Curv4, m: MapDatum) -> MapTermReport:
     k = float(np.einsum("ijij->", slot_contract(q_target.entries, U, U, U, U)))
 
     q_gradient, q_traces, q_curvature = {}, {}, {}
-    variants = [v for v in Q_VARIANTS if m.source.has_torsion or not v.startswith("tau_")]
-    if d < 2:  # canonical_Q has no primitive weight at d = 1
-        variants = [v for v in variants if not v.endswith("primitive")]
+    can = canonical_tensors(m.source)
     delta = m.delta
     m0 = m.nabla_sym + np.einsum("xy,k->xyk", m.source.g, delta) / d
-    for variant in variants:
-        Q = canonical_Q(m.source, variant)
+    for variant in Q_VARIANTS:
+        Q = getattr(can, variant)
+        if Q is None:  # a weight the source does not admit
+            continue
         q_gradient[variant] = inner2(ring_action(Q, m0), m0)
         q_traces[variant] = hat(Q).trace
         q_curvature[variant] = 0.5 * dot4(Q.entries, pull)

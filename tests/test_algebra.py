@@ -404,7 +404,18 @@ def test_norm2_is_never_negative():
         norm2(Curv4(sp, a))  # no pair_symmetric tag
 
 
-CANONICAL_FIELDS = ("gkg", "wkw", "wsw", "Ic", "Ic0", "T", "T0", "torsion_rw", "torsion_cm")
+CANONICAL_FIELDS = (
+    "Ic",
+    "Ic0",
+    "T",
+    "T0",
+    "torsion_rw",
+    "torsion_cm",
+    "jminus",
+    "jplus_primitive",
+    "tau_jminus",
+    "tau_jplus_primitive",
+)
 
 
 @pytest.mark.parametrize("torsion", [False, True])
@@ -438,7 +449,8 @@ def test_canonical_tensors_check_tags_on_each_new_space(monkeypatch):
     hand_built = dataclasses.replace(shared)  # same grids, a space of its own
     can = canonical_tensors(hand_built)
     assert can.Ic.space is hand_built
-    assert {"pair_symmetric", "bianchi_closed", "j_plus", "primitive"} <= set(calls)
+    tags = {"pair_symmetric", "bianchi_closed", "j_plus", "j_minus", "primitive", "tau_plus", "tau_minus"}
+    assert set(calls) == tags
     first_build = len(calls)
     assert canonical_tensors(hand_built) is can
     assert len(calls) == first_build  # the cached tensors are not re-checked

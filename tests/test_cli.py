@@ -353,7 +353,15 @@ def test_verify_report_is_the_same_with_warm_and_cleared_caches(capsys):
         if clear:
             spaces._make_space.cache_clear()
             algebra._canonical_tensors.cache_clear()
-            maps._canonical_Q.cache_clear()
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_model_builds_no_canonical_tensor(capsys):
+    # the trace decomposition needs only the Ricci data, no frame-only grid
+    algebra._canonical_tensors.cache_clear()
+    argv = ["model", "--family", "su_pq", "--params", "2,2", "--family", "so_p_2", "--params", "5"]
+    assert main(argv + ["--samples", "50"]) == 0
+    capsys.readouterr()
+    assert algebra._canonical_tensors.cache_info().currsize == 0

@@ -6,6 +6,7 @@ from hypothesis import assume, event, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pherm import (
+    build_model,
     canonical_tensors,
     complex_sectional,
     first_bianchi_residual,
@@ -16,6 +17,8 @@ from pherm import (
     kulkarni,
     make_space,
     metric_form,
+    model_curvature,
+    norm2,
     random_curv4,
     sample_curvatures,
     scalar_product,
@@ -143,6 +146,39 @@ def test_decomposition_reconstructs_random_admissible(d):
         assert scalar_product(rep.cm, canonical_tensors(sp).Ic) == pytest.approx(0.0, abs=1e-9)
         r0g = kulkarni(rep.ric0, g)
         assert scalar_product(rep.cm, r0g) == pytest.approx(0.0, abs=1e-9)
+
+
+def _orthogonal_split_residual(rw: Curv4) -> float:
+    """|CM|^2 against |R|^2 - s^2/(4d(d+1)) - |Ric_0|^2/(d+2), relative to max(1, |R|^2)."""
+    d = rw.space.d
+    rep = invariants(rw)
+    r2 = norm2(rw)
+    want = r2 - rep.scalar**2 / (4 * d * (d + 1)) - np.sum(rep.ric0.entries**2) / (d + 2)
+    return abs(norm2(rep.cm) - want) / max(1.0, r2)
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_trace_decomposition_is_orthogonal_in_norm(d, torsion):
+    sp = make_space(d, with_torsion=torsion)
+    for seed in range(3):
+        assert _orthogonal_split_residual(random_curv4(sp, KAHLER_TAGS, seed=seed)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("su_pq", (2, 2)),
+        ("su_pq", (3, 2)),
+        ("sp_p_R", (3,)),
+        ("so_p_2", (5,)),
+        ("so_star_2p", (5,)),
+        ("su_pq", (4, 3)),
+    ],
+)
+def test_trace_decomposition_is_orthogonal_in_norm_on_lie_models(family, params):
+    rw = model_curvature(build_model(family, params))
+    assert _orthogonal_split_residual(rw) <= 1e-12
 
 
 def test_torsion_model_properties():

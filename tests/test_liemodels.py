@@ -217,6 +217,12 @@ def test_scale_covariance():
     assert c0_prime(scaled) / kappa(scaled) == pytest.approx(ratio, rel=1e-10)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_build_model_rejects_a_metric_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="metric_scale must be positive"):
+        build_model("su_pq", (2, 1), metric_scale=scale)
+
+
 @pytest.mark.parametrize(
     "family,params",
     [("su_pq", (2, 1)), ("sp_p_R", (2,)), ("so_p_2", (3,)), ("so_star_2p", (3,))],
