@@ -41,8 +41,8 @@ from .liemodels import (
     FAMILIES,
     OUT_OF_SCOPE_FAMILIES,
     ModelError,
-    _c0_prime,
     build_model,
+    c0_prime,
     closed_form_constants,
     kappa,
     model_curvature,
@@ -112,7 +112,7 @@ def _table_row(family, params):
         row.update({"status": "flat", "s": 0.0, "c0_prime": None, "kappa": kappa(rw)})
         return row
     row["s"] = scalar_curvature(rw)
-    computed_c0 = _c0_prime(rw, row["s"])
+    computed_c0 = c0_prime(rw)
     computed_kappa = kappa(rw)
     ref_c0, ref_kappa = closed_form_constants(family, params)
     row.update(
@@ -165,11 +165,11 @@ def cmd_model(config: RunConfig) -> dict:
             ranges = sample_curvatures(rw, config.samples, config.seeds[0])
             block.update(
                 {
-                    "s": rep.scalar,  # the report's one Ricci contraction
+                    "s": rep.scalar,
                     "pseudo_einstein": rep.pseudo_einstein,
                     "cm_norm2": rep.cm_norm2,
                     # s < 0 here: beta is negative definite on l, which holds [p, p] != 0
-                    "c0_prime": _c0_prime(rw, rep.scalar),
+                    "c0_prime": c0_prime(rw),
                     "kappa": kappa(rw),
                     "curvature_ranges": {name: list(r) for name, r in ranges.items()},
                 }

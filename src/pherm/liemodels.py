@@ -4,13 +4,14 @@ Each family is realized by explicit real matrices (complex families are
 realified).  The Killing form is always the adjoint trace form
 beta(X, Y) = tr(ad X ad Y) computed from structure constants, never a
 defining-representation trace.  The horizontal metric is the restriction of
-beta to the -1 eigenspace p of the symmetric-pair decomposition (optionally
-rescaled), the complex structure is ad of the generator of the center of the
-+1 part, and the curvature in an adapted beta-orthonormal frame is
+beta to the -1 eigenspace p of the symmetric-pair decomposition, the complex
+structure is ad of the generator of the center of the +1 part, and the
+curvature in an adapted beta-orthonormal frame is
 R(a, b, c, e) = beta([u_a, u_b], [u_c, u_e]).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -58,7 +59,6 @@ class LieModel:
     killing: np.ndarray  # (N, N)
     xi_star: np.ndarray  # (N,)
     p_frame: np.ndarray  # (2d, N)
-    metric_scale: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -169,7 +169,8 @@ class _Family:
 
     param_names and min_param give the admissible parameters; basis builds
     the (l, p) matrices and half_dim the horizontal half-dimension from
-    them.  constants is the closed-form (c0', kappa).  Out-of-scope rows
+    them.  c0_prime is the closed-form c0' and dual_coxeter the dual Coxeter
+    number h, with kappa = -1/h for the Killing metric.  Out-of-scope rows
     have no basis and constants that ignore the parameters.
     """
 
@@ -177,7 +178,8 @@ class _Family:
     min_param: int = 1
     basis: Optional[Callable] = None
     half_dim: Optional[Callable] = None
-    constants: Optional[Callable] = None
+    c0_prime: Optional[Callable] = None
+    dual_coxeter: Optional[Callable] = None
 
 
 _FAMILY_TABLE = {
@@ -187,54 +189,60 @@ _FAMILY_TABLE = {
         1,
         _su_pq_basis,
         lambda p, q: p * q,
-        lambda p, q: ((p * q + 1) / (p + q) ** 2, -1.0 / (p + q)),
+        lambda p, q: (p * q + 1) / (p + q) ** 2,
+        lambda p, q: p + q,
     ),
     "sp_p_R": _Family(
         ("p",),
         1,
         _sp_p_basis,
         lambda p: p * (p + 1) // 2,
-        lambda p: (0.25 + (3 + p) / (4.0 * (p + 1) ** 2), -1.0 / (p + 1)),
+        lambda p: 0.25 + (3 + p) / (4.0 * (p + 1) ** 2),
+        lambda p: p + 1,
     ),
     "so_p_2": _Family(
-        ("p",), 3, _so_p_2_basis, lambda p: p, lambda p: (3.0 / (2 * p) - 1.0 / p**2, -1.0 / p)
+        ("p",), 3, _so_p_2_basis, lambda p: p, lambda p: 3.0 / (2 * p) - 1.0 / p**2, lambda p: p
     ),
     "so_star_2p": _Family(
         ("p",),
         3,
         _so_star_basis,
         lambda p: p * (p - 1) // 2,
-        lambda p: (0.25 + (3 - p) / (4.0 * (p - 1) ** 2), -1.0 / (2 * (p - 1))),
+        lambda p: 0.25 + (3 - p) / (4.0 * (p - 1) ** 2),
+        lambda p: 2 * (p - 1),
     ),
     # exceptional algebras: listed in the reference table, not constructible
-    "e6_spin10": _Family(constants=lambda *_: (3.0 / 16.0, -1.0 / 12.0)),
-    "e7_e6": _Family(constants=lambda *_: (29.0 / 162.0, -1.0 / 18.0)),
+    "e6_spin10": _Family(c0_prime=lambda *_: 3.0 / 16.0, dual_coxeter=lambda *_: 12),
+    "e7_e6": _Family(c0_prime=lambda *_: 29.0 / 162.0, dual_coxeter=lambda *_: 18),
 }
 
 FAMILIES = tuple(name for name, fam in _FAMILY_TABLE.items() if fam.basis)
 OUT_OF_SCOPE_FAMILIES = tuple(name for name, fam in _FAMILY_TABLE.items() if not fam.basis)
 
 
-def _family(family: str, params: tuple) -> _Family:
-    """The table record of a constructible family, after checking params."""
+def _family(family: str, params: Sequence[int]) -> tuple[_Family, tuple]:
+    """The table record of a constructible family and its checked integer params."""
     fam = _FAMILY_TABLE.get(family)
     if fam is None or fam.basis is None:
         raise ValueError(f"unknown family {family!r}; supported: {FAMILIES}")
+    params = tuple(params)
+    if any(isinstance(x, bool) or not hasattr(x, "__index__") for x in params):
+        raise ValueError(f"{family} parameters must be integers, got {params!r}")
+    params = tuple(map(operator.index, params))
     if len(params) != len(fam.param_names) or min(params) < fam.min_param:
         raise ValueError(f"{family} needs {', '.join(fam.param_names)} >= {fam.min_param}")
-    return fam
+    return fam, params
 
 
 def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, float]:
     """Reference closed-form values for the curvature-norm constant and the
     lowest quadratic-form eigenvalue of each family."""
-    params = tuple(params)
     fam = _FAMILY_TABLE.get(family, _Family())
-    if fam.constants is None:
+    if fam.c0_prime is None:
         raise ValueError(f"no closed-form constants for family {family!r}")
     if fam.basis:
-        _family(family, params)  # the parameters of a constructible family
-    return fam.constants(*params)
+        _, params = _family(family, params)  # the parameters of a constructible family
+    return fam.c0_prime(*params), -1.0 / fam.dual_coxeter(*params)
 
 
 def _structure_constants(mats: np.ndarray) -> np.ndarray:
@@ -275,12 +283,9 @@ def _killing_form(C: np.ndarray) -> np.ndarray:
     return K
 
 
-def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -> LieModel:
+def build_model(family: str, params: Sequence[int]) -> LieModel:
     """Construct a family member and verify its structural invariants."""
-    params = tuple(int(x) for x in params)
-    fam = _family(family, params)
-    if not (np.isfinite(metric_scale) and metric_scale > 0):  # `<= 0` lets a NaN through
-        raise ValueError("metric_scale must be positive and finite")
+    fam, params = _family(family, params)
 
     l_mats, p_mats = fam.basis(*params)
 
@@ -304,7 +309,7 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
             frame[i, L + i] = 1.0
         xi = np.zeros(L + P)
         xi[0] = 1.0
-        return LieModel(family, params, d, True, mats, L, C, K, xi, frame, metric_scale)
+        return LieModel(family, params, d, True, mats, L, C, K, xi, frame)
 
     # bracket closure of the symmetric pair; l is the first L basis elements and p
     # the rest, so each block is a basic slice (a view)
@@ -364,8 +369,8 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
     # the frame's products round as they did on a copied block
     Jp = np.multiply(scale, S, order="C")
 
-    # adapted frame, orthonormal for metric_scale * beta restricted to p
-    G = metric_scale * K[L:, L:]
+    # adapted frame, orthonormal for beta restricted to p
+    G = K[L:, L:]
     frame_p = np.zeros((P, P))  # rows (e_1..e_d, Je_1..Je_d); rows not yet filled are zero
     found = 0
     for k in range(P):
@@ -393,15 +398,15 @@ def build_model(family: str, params: Sequence[int], metric_scale: float = 1.0) -
     frame = np.zeros((P, L + P))
     frame[:, L:] = frame_p
 
-    return LieModel(family, params, d, False, mats, L, C, K, xi, frame, metric_scale)
+    return LieModel(family, params, d, False, mats, L, C, K, xi, frame)
 
 
 def model_curvature(model: LieModel) -> Curv4:
     """Curvature tensor in the adapted frame; zero for the flat family.
 
     R = F K F^T for the factor F = W.reshape(n^2, L), W = C[p, p, l] read in the
-    frame (n, n, L), and K = metric_scale * K[l, l]: one BLAS product.  The Kähler
-    tags are proven on the factor (`_prove_kahler_factor`), not on the n^4 grid."""
+    frame (n, n, L), and K = K[l, l]: one BLAS product.  The Kähler tags are
+    proven on the factor (`_prove_kahler_factor`), not on the n^4 grid."""
     space = make_space(model.d)
     n = space.n
     if model.flat:
@@ -410,7 +415,7 @@ def model_curvature(model: LieModel) -> Curv4:
     L = model.l_dim
     frame = model.p_frame[:, L:].T
     W = slot_contract(model.structure[L:, L:, :L], frame, frame)
-    K = model.metric_scale * model.killing[:L, :L]  # the last slot pair lowered with the metric
+    K = model.killing[:L, :L]  # the last slot pair lowered with the metric
     F = W.reshape(n * n, L)
     R = ((F @ K) @ F.T).reshape((n,) * 4)
     _prove_kahler_factor(space, W, K, R)
@@ -464,11 +469,7 @@ def _prove_kahler_factor(space: HorizontalSpace, W: np.ndarray, K: np.ndarray, R
 
 def c0_prime(rw: Curv4) -> float:
     """Scale-covariant curvature-norm constant -4 |R|^2 / s."""
-    return _c0_prime(rw, scalar_curvature(rw))
-
-
-def _c0_prime(rw: Curv4, s: float) -> float:
-    """c0_prime for a caller that already holds s = scalar_curvature(rw)."""
+    s = scalar_curvature(rw)
     if abs(s) < 1e-12:
         raise ValueError("scalar curvature vanishes; constant undefined")
     return -4.0 * norm2(rw) / s

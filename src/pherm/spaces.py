@@ -366,8 +366,9 @@ def _tag_residual(space: HorizontalSpace, q: np.ndarray, tag: str) -> np.ndarray
     if tag == "bianchi_closed":
         return _max_over_rows(q, lambda rows: _max_abs(bianchi_grid(q, rows)))
     if tag == "primitive":
+        # |q(omega) omega^T| has the entries of |q(omega)|: omega is a signed permutation
         qw = hat_2form_grid(q, space.omega[(None,) * (q.ndim - 4)])
-        return np.max(np.abs(qw @ space.omega.T), axis=(-2, -1))
+        return np.max(np.abs(qw), axis=(-2, -1))
     project = _PROJECTORS[tag]
     return _max_over_rows(q, lambda rows: _max_abs_diff(q[..., rows, :, :, :], project(space, q, rows)))
 

@@ -425,9 +425,9 @@ def bianchi_project_expr(q):
     return q - bianchi_expr(q) / 3.0
 
 
-def model_curvature_einsum(p_frame, structure, killing, metric_scale):
+def model_curvature_einsum(p_frame, structure, killing):
     W = np.einsum("ai,bj,ijk->abk", p_frame, p_frame, structure)
-    return metric_scale * np.einsum("abk,kl,cel->abce", W, killing, W)
+    return np.einsum("abk,kl,cel->abce", W, killing, W)
 
 
 def curvature_terms_einsum(q, D, J_target):

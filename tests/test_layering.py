@@ -155,6 +155,35 @@ def test_tracer_guard_catches_a_cached_public_function():
     assert hidden_from_tracer(module) == ["build"]
 
 
+def private_package_imports(tree: ast.AST) -> list[str]:
+    """Names starting with `_` that a module imports from a `pherm` module."""
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").split(".")[0] == "pherm")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_cli_imports_no_private_package_name():
+    # the commands reach each layer through its public functions, the ones
+    # `perfbench/tracer.py` wraps, so their calls show in the per-layer metrics
+    private = private_package_imports(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+    assert private == [], f"cli imports private names: {private}"
+
+
+def test_the_private_import_guard_sees_a_private_name():
+    tree = ast.parse(
+        "from ._x import public\n"
+        "from .liemodels import _c0_prime, c0_prime\n"
+        "from pherm.spaces import _blocks\n"
+        "from numpy import _core\n"
+    )
+    assert private_package_imports(tree) == ["_blocks", "_c0_prime"]
+
+
 def calls_by_function(tree: ast.AST, matches) -> set[str]:
     """Names of the innermost functions that contain a call for which matches(call) holds."""
     found = set()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,26 @@ def test_every_family_builds_at_its_minimum_params():
         assert build_model(family, params).d == d
 
 
+# (family, params, c0', dual Coxeter number h): the paper's closed forms, written
+# apart from liemodels' family table; kappa = -1/h for the Killing metric
+HAND_CONSTANTS = [
+    ("su_pq", (2, 1), Fraction(1, 3), 3),
+    ("su_pq", (4, 3), Fraction(13, 49), 7),
+    ("sp_p_R", (3,), Fraction(11, 32), 4),
+    ("so_p_2", (5,), Fraction(13, 50), 5),
+    ("so_star_2p", (6,), Fraction(11, 50), 10),
+    ("e6_spin10", (), Fraction(3, 16), 12),
+    ("e7_e6", (), Fraction(29, 162), 18),
+]
+
+
+@pytest.mark.parametrize("family,params,c0,h", HAND_CONSTANTS)
+def test_closed_form_constants_against_hand_values(family, params, c0, h):
+    got_c0, got_kappa = closed_form_constants(family, params)
+    assert abs(got_c0 - float(c0)) <= 1e-15 * float(c0)
+    assert got_kappa == -1.0 / h
+
+
 def test_closed_form_constants_arguments():
     # out-of-scope rows ignore their parameters
     assert closed_form_constants("e6_spin10", (1,)) == (3.0 / 16.0, -1.0 / 12.0)
@@ -137,6 +158,23 @@ def test_closed_form_constants_arguments():
     for family, params in [("su_pq", (2,)), ("so_star_2p", (1,)), ("heisenberg", (3,)), ("mystery", ())]:
         with pytest.raises(ValueError):
             closed_form_constants(family, params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(2.5, 1), (2.0, 1), (True, 1), ("2", "1")],
+    ids=["float", "integral_float", "bool", "str"],
+)
+@pytest.mark.parametrize("call", [build_model, closed_form_constants])
+def test_family_parameters_must_be_integers(call, params):
+    with pytest.raises(ValueError, match="su_pq parameters must be integers"):
+        call("su_pq", params)
+
+
+def test_numpy_integer_family_parameters_are_accepted():
+    m = build_model("su_pq", (np.int64(2), np.int32(1)))
+    assert m.params == (2, 1) and all(type(x) is int for x in m.params)
+    assert closed_form_constants("su_pq", (np.int64(2), 1)) == closed_form_constants("su_pq", (2, 1))
 
 
 def test_heisenberg_flat():
@@ -210,17 +248,11 @@ def test_su_d1_is_space_form():
 def test_scale_covariance():
     lam = 2.0
     base = model_curvature(build_model("su_pq", (2, 1)))
-    scaled = model_curvature(build_model("su_pq", (2, 1), metric_scale=lam))
+    scaled = Curv4(base.space, base.entries / lam, base.tags)
     assert c0_prime(scaled) == pytest.approx(c0_prime(base) / lam, rel=1e-10)
     assert kappa(scaled) == pytest.approx(kappa(base) / lam, rel=1e-10)
     ratio = c0_prime(base) / kappa(base)
     assert c0_prime(scaled) / kappa(scaled) == pytest.approx(ratio, rel=1e-10)
-
-
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
-def test_build_model_rejects_a_metric_scale_that_is_not_positive_and_finite(scale):
-    with pytest.raises(ValueError, match="metric_scale must be positive"):
-        build_model("su_pq", (2, 1), metric_scale=scale)
 
 
 @pytest.mark.parametrize(
@@ -366,10 +398,9 @@ def test_nonpositive_sectional_sampling():
 )
 def test_model_curvature_matches_einsum_oracle(family, params):
     # half-dimensions 1, 2, 3, 4, 4
-    for scale in (1.0, 2.5):
-        m = build_model(family, params, metric_scale=scale)
-        want = model_curvature_einsum(m.p_frame, m.structure, m.killing, m.metric_scale)
-        assert rel_err(model_curvature(m).entries, want) <= 1e-12
+    m = build_model(family, params)
+    want = model_curvature_einsum(m.p_frame, m.structure, m.killing)
+    assert rel_err(model_curvature(m).entries, want) <= 1e-12
 
 
 # every family at its minimum parameters, then larger members
@@ -395,7 +426,7 @@ def test_lie_model_matches_einsum_oracle(family, params):
     C, K = structure_constants_einsum(m.basis)
     assert rel_err(m.structure, C) <= 1e-12
     assert rel_err(m.killing, K) <= 1e-12
-    want = model_curvature_einsum(m.p_frame, C, K, m.metric_scale)
+    want = model_curvature_einsum(m.p_frame, C, K)
     assert rel_err(model_curvature(m).entries, want) <= 1e-12
     # xi_star spans the center of l: [z, l] = 0 ...
     L = m.l_dim
@@ -429,7 +460,7 @@ def test_lie_model_kernels_match_loop_oracles(family, params):
     if m.flat:
         return
     L = m.l_dim
-    G = m.metric_scale * m.killing[L:, L:]
+    G = m.killing[L:, L:]
     Jp = np.einsum("i,ikj->jk", m.xi_star, m.structure)[L:, L:]  # ad(xi_star) on p
     assert rel_err(m.p_frame[:, L:], adapted_frame_loop(G, Jp, m.d)) <= 1e-12
     assert not np.any(m.p_frame[:, :L])
@@ -605,7 +636,7 @@ FACTOR_BREAKS = {
 @pytest.mark.parametrize("name", sorted(FACTOR_BREAKS))
 def test_factor_proof_raises_what_the_dense_check_raises(monkeypatch, name, eps, family, params):
     m = FACTOR_BREAKS[name](build_model(family, params), eps, np.random.default_rng(7))
-    grid = model_curvature_einsum(m.p_frame, m.structure, m.killing, m.metric_scale)
+    grid = model_curvature_einsum(m.p_frame, m.structure, m.killing)
     space = make_space(m.d)
     with pytest.raises(ValueError) as dense:  # TagError is a ValueError
         Curv4(space, grid, spaces.KAHLER_TAGS)
