@@ -101,19 +101,18 @@ def _table_row(family, params):
             "kappa_closed_form": ref_kappa,
         }
     model = build_model(family, params)
+    rw = model_curvature(model)
     row = {
         "family": family,
         "params": list(params),
         "d": model.d,
-        "status": "ok",
+        "status": "flat" if model.flat else "ok",
+        "s": scalar_curvature(rw),  # exactly 0.0 on the flat model's zero grid
     }
-    rw = model_curvature(model)
-    if model.flat:
-        row.update({"status": "flat", "s": 0.0, "c0_prime": None, "kappa": kappa(rw)})
-        return row
-    row["s"] = scalar_curvature(rw)
-    computed_c0 = c0_prime(rw)
     computed_kappa = kappa(rw)
+    if model.flat:
+        return {**row, "c0_prime": None, "kappa": computed_kappa}
+    computed_c0 = c0_prime(rw)
     ref_c0, ref_kappa = closed_form_constants(family, params)
     row.update(
         {

@@ -264,11 +264,14 @@ def _structure_constants(mats: np.ndarray) -> np.ndarray:
         resid = max(resid, np.max(np.abs(recon, out=recon)))
         C[i, i + 1 :] = coords
         C[i + 1 :, i] = np.negative(coords, out=coords)
-    if resid > 1e-9:
-        raise ModelError(
-            f"brackets do not close on the chosen basis: max |residual| {resid:.1e} > 1e-09"
-        )
+    _gate("brackets do not close on the chosen basis: max |residual|", resid, 1e-9)
     return C
+
+
+def _gate(what: str, value: float, bound: float) -> None:
+    """Raise a ModelError naming what was measured, its value and its bound when value > bound."""
+    if value > bound:
+        raise ModelError(f"{what} {value:.1e} > {bound:.0e}")
 
 
 def _killing_form(C: np.ndarray) -> np.ndarray:
@@ -303,13 +306,8 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     C = _structure_constants(mats)
     K = _killing_form(C)
 
-    if family == "heisenberg":
-        frame = np.zeros((2 * d, L + P))
-        for i in range(2 * d):
-            frame[i, L + i] = 1.0
-        xi = np.zeros(L + P)
-        xi[0] = 1.0
-        return LieModel(family, params, d, True, mats, L, C, K, xi, frame)
+    if family == "heisenberg":  # xi is the center z, the frame the p basis (x_1..x_d, y_1..y_d)
+        return LieModel(family, params, d, True, mats, L, C, K, np.eye(1, L + P)[0], np.eye(P, L + P, L))
 
     # bracket closure of the symmetric pair; l is the first L basis elements and p
     # the rest, so each block is a basic slice (a view)
@@ -318,17 +316,12 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
         ("[l, p] leaves p", C[:L, L:, :L]),
         ("[p, p] leaves l", C[L:, L:, L:]),
     ):
-        resid = np.max(np.abs(block))
-        if resid > 1e-9:
-            raise ModelError(f"{what}: max |C| {resid:.1e} > 1e-09")
+        _gate(f"{what}: max |C|", np.max(np.abs(block)), 1e-9)
 
     # definiteness of the Killing form on both parts
     ev_l = np.linalg.eigvalsh(0.5 * (K[:L, :L] + K[:L, :L].T))
     ev_p = np.linalg.eigvalsh(0.5 * (K[L:, L:] + K[L:, L:].T))
-    if ev_l.max() > -1e-9:
-        raise ModelError(
-            f"Killing form is not negative definite on l: max eigenvalue {ev_l.max():.1e} > -1e-09"
-        )
+    _gate("Killing form is not negative definite on l: max eigenvalue", ev_l.max(), -1e-9)
     if ev_p.min() < 1e-9:
         raise ModelError(
             f"Killing form is not positive definite on p: min eigenvalue {ev_p.min():.1e} < 1e-09"
@@ -350,10 +343,7 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     if z[np.argmax(np.abs(z))] < 0:
         z = -z  # deterministic orientation
 
-    z_full = np.zeros(L + P)
-    z_full[:L] = z
-    ad_z = np.einsum("i,iba->ab", z_full, C)  # ad z as a matrix acting on coordinates
-    S = ad_z[L:, L:]
+    S = np.einsum("i,iba->ab", z, C[:L, L:, L:])  # ad z on p, acting on coordinates
     S2 = S @ S
     c2 = -np.trace(S2) / P
     resid = np.max(np.abs(S2 + c2 * np.eye(P)))
@@ -365,7 +355,7 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     scale = 1.0 / np.sqrt(c2)
     xi = np.zeros(L + P)
     xi[:L] = scale * z
-    # complex structure on p in basis coordinates; C order (S is an F-order view), so
+    # complex structure on p in basis coordinates; C order (S is F-order), so
     # the frame's products round as they did on a copied block
     Jp = np.multiply(scale, S, order="C")
 
@@ -392,9 +382,7 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
             "squared-norm floor 1e-10"
         )
     gram = frame_p @ G @ frame_p.T
-    resid = np.max(np.abs(gram - np.eye(P)))
-    if resid > 1e-9:
-        raise ModelError(f"adapted frame is not orthonormal: max |gram - I| {resid:.1e} > 1e-09")
+    _gate("adapted frame is not orthonormal: max |gram - I|", np.max(np.abs(gram - np.eye(P))), 1e-9)
     frame = np.zeros((P, L + P))
     frame[:, L:] = frame_p
 
@@ -402,16 +390,15 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
 
 
 def model_curvature(model: LieModel) -> Curv4:
-    """Curvature tensor in the adapted frame; zero for the flat family.
+    """Curvature tensor in the adapted frame.
 
     R = F K F^T for the factor F = W.reshape(n^2, L), W = C[p, p, l] read in the
     frame (n, n, L), and K = K[l, l]: one BLAS product.  The Kähler tags are
-    proven on the factor (`_prove_kahler_factor`), not on the n^4 grid."""
+    proven on the factor (`_prove_kahler_factor`), not on the n^4 grid, for the flat family
+    too: the Heisenberg algebra is nilpotent, so K[l, l] = 0 and R is exactly +0.0."""
     space = make_space(model.d)
     n = space.n
-    if model.flat:
-        return _proven_curv4(space, np.zeros((n,) * 4), KAHLER_TAGS)  # zero has every tag
-    # build_model checked [p, p] in l and K definite on l and p: only C[p, p, l], K[l, l] count
+    # [p, p] lies in l (checked, or the Heisenberg center): only C[p, p, l] and K[l, l] count
     L = model.l_dim
     frame = model.p_frame[:, L:].T
     W = slot_contract(model.structure[L:, L:, :L], frame, frame)

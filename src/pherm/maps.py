@@ -14,6 +14,7 @@ residual is expected to be macroscopic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -470,8 +471,9 @@ def identity_suite(
     if d_prime < d:
         raise ValueError("target half-dimension must be at least the source one")
     # zero trials check nothing, and an infinite tolerance passes anything
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not hasattr(trials, "__index__") or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = operator.index(trials)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be positive and finite")
     source = make_space(d, with_torsion=True)

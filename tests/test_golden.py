@@ -32,6 +32,11 @@ RUNS = {
         "model", "--family", "su_pq", "--params", "2,1",
         "--family", "sp_p_R", "--params", "2", "--samples", "50",
     ],
+    # the flat block and the d = 1 blocks, which have no trace decomposition
+    "model_small": [
+        "model", "--family", "heisenberg", "--params", "2", "--family", "su_pq", "--params", "1,1",
+        "--family", "sp_p_R", "--params", "1", "--family", "so_star_2p", "--params", "4",
+    ],
     # the benchmark's model workload at seed 7: 1000 samples at d = 2, 4, 6, 6
     "model_bench": [
         "model", "--samples", "1000", "--seed", "7", "--family", "su_pq", "--params", "2,1",

@@ -187,6 +187,17 @@ def test_heisenberg_flat():
         c0_prime(rw)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_flat_curvature_is_proven_on_the_factor(monkeypatch, d):
+    # the flat model takes the curved path: K[l, l] = 0 makes R exactly +0.0
+    calls, prove = [], liemodels._prove_kahler_factor
+    monkeypatch.setattr(liemodels, "_prove_kahler_factor", lambda *a: calls.append(a) or prove(*a))
+    rw = model_curvature(build_model("heisenberg", (d,)))
+    assert len(calls) == 1
+    assert not np.any(rw.entries) and not np.signbit(rw.entries).any()
+    assert rw.tags == spaces.KAHLER_TAGS
+
+
 @pytest.mark.parametrize(
     "family,params",
     [
@@ -486,12 +497,19 @@ def _shift_p_by_l0(l_mats, p_mats):
     return l_mats, p_mats[:2] + [m + l_mats[0] for m in p_mats[2:]]
 
 
+def _p_a_commuting_copy_of_l(l_mats, p_mats):
+    # l and a copy of it as p in two diagonal blocks: [p, p] lies in p
+    Z = np.zeros_like(l_mats[0])
+    return [np.block([[m, Z], [Z, Z]]) for m in l_mats], [np.block([[Z, Z], [Z, m]]) for m in l_mats]
+
+
 # each message names the invariant, the measured value and the bound
 @pytest.mark.parametrize(
     "change,message",
     [
         (_swap_l0_p0, r"\[l, l\] leaves l: max \|C\| 2\.0e\+00 > 1e-09"),
         (_shift_p_by_l0, r"\[l, p\] leaves p: max \|C\| 2\.0e\+00 > 1e-09"),
+        (_p_a_commuting_copy_of_l, r"\[p, p\] leaves l: max \|C\| 2\.0e\+00 > 1e-09"),
         (lambda l_mats, p_mats: (l_mats, p_mats[:-1]), r"odd horizontal dimension 3"),
         (
             lambda l_mats, p_mats: (l_mats, p_mats[:-2]),
@@ -505,6 +523,23 @@ def test_model_errors_carry_residual_and_bound(monkeypatch, change, message):
     monkeypatch.setitem(liemodels._FAMILY_TABLE, "su_pq", basis)
     with pytest.raises(ModelError, match=message):
         build_model("su_pq", (2, 1))
+
+
+def test_killing_form_gate_carries_its_negative_bound(monkeypatch):
+    killing_form = liemodels._killing_form
+    monkeypatch.setattr(liemodels, "_killing_form", lambda C: -killing_form(C))
+    with pytest.raises(
+        ModelError, match=r"Killing form is not negative definite on l: max eigenvalue \S+ > -1e-09$"
+    ):
+        build_model("su_pq", (2, 1))
+
+
+@pytest.mark.parametrize("bound", [1e-9, -1e-9])
+def test_gate_passes_its_bound_and_raises_just_above_it(bound):
+    liemodels._gate("residual", bound, bound)
+    above = np.nextafter(bound, np.inf)
+    with pytest.raises(ModelError, match=f"^residual {above:.1e} > {bound:.0e}$"):
+        liemodels._gate("residual", above, bound)
 
 
 def test_model_curvature_rejects_a_structure_that_breaks_jacobi():

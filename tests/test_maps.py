@@ -429,6 +429,22 @@ def spy_identities(monkeypatch) -> list:
     return blocks
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_, 2.0, 2.5, np.float64(2.0), "3"])
+def test_identity_suite_trials_must_be_integral(monkeypatch, bad):
+    # validated as sample_curvatures validates its count: True is not one trial
+    blocks = spy_identities(monkeypatch)
+    with pytest.raises(ValueError, match=r"trials must be an integer >= 1, got "):
+        identity_suite(2, 2, trials=bad)
+    assert blocks == []
+
+
+@pytest.mark.parametrize("count", [np.int64(3), np.int32(3)])
+def test_identity_suite_takes_numpy_integer_trials(monkeypatch, count):
+    blocks = spy_identities(monkeypatch)
+    (res,) = identity_suite(2, 2, trials=count).results
+    assert blocks == [3] and res.trials == 3
+
+
 def test_identity_suite_rejects_a_smaller_target_before_any_identity(monkeypatch):
     blocks = spy_identities(monkeypatch)
     with pytest.raises(ValueError, match="target half-dimension"):

@@ -2,9 +2,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pherm import (
     TagError,
@@ -573,6 +575,38 @@ def test_blocks_tile_the_count_within_the_budget(count, unit):
     # the step arithmetic that each caller did on its own
     step = max(1, spaces._BLOCK_BYTES // unit)
     assert tiles == [list(range(x, min(x + step, count))) for x in range(0, count, step)]
+
+
+@given(count=st.integers(0, 3000), unit=st.integers(0, 2**22))
+def test_blocks_tile_any_count_within_the_budget(count, unit):
+    blocks = spaces._blocks(count, unit)
+    tiles = [list(range(count)[b]) for b in blocks]
+    assert sum(tiles, []) == list(range(count))
+    assert all(len(t) * unit <= spaces._BLOCK_BYTES or len(t) == 1 for t in tiles)
+    assert (blocks == [slice(None)]) == (count * unit <= spaces._BLOCK_BYTES or count <= 1)
+
+
+_SPACES = {n: make_space(n // 2, with_torsion=True) for n in (2, 4, 6, 8)}
+
+
+@settings(max_examples=20)
+@given(
+    n=st.sampled_from(sorted(_SPACES)),
+    stack=st.integers(1, 3),
+    check=st.sampled_from(("antisymmetric",) + spaces.CURV4_TAGS),
+    budget=st.integers(0, 3 * 8**4 * 8),  # up to all rows of the largest stack
+    seed=st.integers(0, 2**16),
+)
+def test_any_row_budget_gives_the_whole_residual_bit_for_bit(n, stack, check, budget, seed):
+    sp = _SPACES[n]
+    q = np.random.default_rng(seed).standard_normal((stack,) + (n,) * 4)
+    whole = _whole_residual(sp, q, check)
+    with mock.patch.object(spaces, "_BLOCK_BYTES", budget):
+        if check == "antisymmetric":
+            got = spaces._antisym_residual(q)
+        else:
+            got = spaces._tag_residual(sp, q, check)
+    assert got.shape == whole.shape and np.array_equal(got, whole)
 
 
 def test_the_first_failing_tag_does_not_depend_on_the_hash_seed():
