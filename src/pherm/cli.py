@@ -153,26 +153,26 @@ def cmd_model(config: RunConfig) -> dict:
             "d": model.d,
             "flat": model.flat,
         }
-        if model.flat:
-            block.update({"s": 0.0, "pseudo_einstein": True, "cm_norm2": 0.0})
-        elif model.d < 2:
+        if model.d < 2:
             # the trace decomposition degenerates; rho is a multiple of
             # omega for dimension reasons, so the flag is trivially true
-            block.update({"s": scalar_curvature(rw), "pseudo_einstein": True, "cm_norm2": None})
+            cm_norm2 = 0.0 if model.flat else None
+            block.update({"s": scalar_curvature(rw), "pseudo_einstein": True, "cm_norm2": cm_norm2})
         else:
             rep = invariants(rw)
-            ranges = sample_curvatures(rw, config.samples, config.seeds[0])
             block.update(
-                {
-                    "s": rep.scalar,
-                    "pseudo_einstein": rep.pseudo_einstein,
-                    "cm_norm2": rep.cm_norm2,
-                    # s < 0 here: beta is negative definite on l, which holds [p, p] != 0
-                    "c0_prime": c0_prime(rw),
-                    "kappa": kappa(rw),
-                    "curvature_ranges": {name: list(r) for name, r in ranges.items()},
-                }
+                {"s": rep.scalar, "pseudo_einstein": rep.pseudo_einstein, "cm_norm2": rep.cm_norm2}
             )
+            if not model.flat:
+                ranges = sample_curvatures(rw, config.samples, config.seeds[0])
+                block.update(
+                    {
+                        # s < 0 here: beta is negative definite on l, which holds [p, p] != 0
+                        "c0_prime": c0_prime(rw),
+                        "kappa": kappa(rw),
+                        "curvature_ranges": {name: list(r) for name, r in ranges.items()},
+                    }
+                )
         blocks.append(block)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -10,6 +10,8 @@ from conftest import load_workloads
 
 import pherm
 from pherm import algebra, cli, liemodels, maps, spaces
+from pherm import make_space, random_curv4
+from pherm.invariants import invariants
 from pherm.cli import (
     RunConfig,
     cmd_model,
@@ -22,15 +24,19 @@ from pherm.cli import (
 )
 
 
-def run_cli(*args):
+def run_python(*args, **env):
     # the child runs the package these tests imported, installed or not
     path = [str(Path(pherm.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "pherm.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
+
+
+def run_cli(*args, **env):
+    return run_python("-m", "pherm.cli", *args, **env)
 
 
 def test_table_default_rows_and_diffs():
@@ -365,3 +371,36 @@ def test_model_builds_no_canonical_tensor(capsys):
     assert main(argv + ["--samples", "50"]) == 0
     capsys.readouterr()
     assert algebra._canonical_tensors.cache_info().currsize == 0
+
+
+def test_table_never_imports_numpy_random():
+    # kappa's Lanczos start is a fixed vector: importing numpy.random costs more than the solve
+    code = (
+        "import sys\n"
+        "from pherm.cli import main\n"
+        "assert main(['table']) == 0\n"
+        "sys.exit('numpy.random' in sys.modules)\n"
+    )
+    child = run_python("-c", code)
+    assert child.returncode == 0, child.stderr
+
+
+def test_default_table_is_byte_identical_on_one_and_two_blas_threads():
+    one, two = (run_cli("table", OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout and two.stdout == one.stdout
+
+
+def test_model_measures_the_flat_block_on_its_grid(monkeypatch):
+    # a flat model with d >= 2 reports what its grid gives, so a wrong grid cannot print zeros
+    wrong = random_curv4(make_space(2), spaces.KAHLER_TAGS, 5)
+    monkeypatch.setattr(cli, "model_curvature", lambda model: wrong)
+    block = cmd_model(RunConfig(command="model", models=[["heisenberg", [2]]], samples=5))["models"][0]
+    rep = invariants(wrong)
+    assert block["flat"] is True
+    assert (block["s"], block["pseudo_einstein"], block["cm_norm2"]) == (
+        rep.scalar,
+        rep.pseudo_einstein,
+        rep.cm_norm2,
+    )
+    assert block["cm_norm2"] > 0 and "kappa" not in block

@@ -705,6 +705,38 @@ def test_kappa_matches_the_four_gather_oracle_on_random_draws(d, tags):
         assert abs(kappa(rw) - kappa_four_gathers(rw.entries)) <= 1e-12 * scale
 
 
+# the curved table rows and five larger rows of four families, up to d = 16
+PINNED_ROWS = [row for row in TABLE_ROWS if row[0] != "heisenberg"] + [
+    ("su_pq", (4, 4)),
+    ("su_pq", (5, 3)),
+    ("so_star_2p", (6,)),
+    ("so_p_2", (16,)),
+    ("sp_p_R", (5,)),
+]
+
+
+@pytest.mark.parametrize("family,params", PINNED_ROWS)
+def test_kappa_is_pinned_within_five_lanczos_steps(family, params):
+    rw = model_curvature(build_model(family, params))
+    value, steps = liemodels._kappa_lanczos(rw.entries)
+    assert kappa(rw) == value
+    ref = closed_form_constants(family, params)[1]
+    assert abs(value - ref) <= 1e-13 * abs(ref)
+    dense = kappa_dense(rw.entries)
+    assert abs(value - dense) <= 1e-12 * abs(dense)
+    assert steps <= 5
+
+
+@pytest.mark.parametrize("t", [1e-14, 1e14])
+def test_kappa_is_scale_covariant_at_any_scale(t):
+    # Lanczos stops relative to its own coefficients, so a tiny grid is not cut short
+    for seed in range(3):
+        rw = random_curv4(make_space(3), {"pair_symmetric"}, seed)
+        scaled = Curv4(rw.space, t * rw.entries, rw.tags)
+        want = t * kappa(rw)
+        assert abs(kappa(scaled) - want) <= 1e-12 * abs(want)
+
+
 def _structure_of(family, params):
     l_mats, p_mats = liemodels._FAMILY_TABLE[family].basis(*params)
     return liemodels._structure_constants(np.array(l_mats + p_mats, dtype=float))
