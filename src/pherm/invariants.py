@@ -20,6 +20,7 @@ from .spaces import (
     Bil2,
     Curv4,
     HorizontalSpace,
+    _grid_scale,
     _wedge_indices,
     bianchi_grid,
     hat_2form_grid,
@@ -85,7 +86,7 @@ def invariants(rw: Curv4) -> InvariantReport:
         - sym_product_grid(phi, space.omega)
     )
     cm = Curv4(space, cm_grid, KAHLER_TAGS | {"primitive"})
-    scale = max(1.0, float(np.max(np.abs(rw.entries))))
+    scale = _grid_scale(rw.entries)
     if np.max(np.abs(ricci_grid(cm_grid))) > TOL * scale:
         raise ArithmeticError("Chern-Moser remainder is not trace free")
 

@@ -246,25 +246,23 @@ def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, fl
 
 
 def _structure_constants(mats: np.ndarray) -> np.ndarray:
-    """C[i, j, k] with [b_i, b_j] = sum_k C[i, j, k] b_k for the (N, m, m)
-    basis b.  Each bracket is formed once, for i < j, one row i at a time (a row
-    is at most 0.86 MiB, at su(8,5)); each row's closure residual is folded into
-    a running max and its coordinates filled into C antisymmetrically."""
+    """C[i, j, k] with [b_i, b_j] = sum_k C[i, j, k] b_k for the (N, m, m) basis b,
+    one bracket row i < j at a time (at most 0.86 MiB, at su(8,5)), its coordinates
+    rounded to integers in place and filled in antisymmetrically.  Basis and constants
+    are small integers, so each row must rebuild its brackets exactly and K = sum C C is exact."""
     N = mats.shape[0]
     flat = mats.reshape(N, -1)  # (N, m^2)
     pinv = np.linalg.pinv(flat.T)
     C = np.zeros((N, N, N))
-    resid = 0.0
     for i in range(N - 1):
         half = (mats[i] @ mats[i + 1 :] - mats[i + 1 :] @ mats[i]).reshape(N - 1 - i, -1)
         coords = half @ pinv.T
-        # basis entries are small integers; the expansion must be essentially exact
+        np.rint(coords, out=coords)
         recon = coords @ flat
         recon -= half
-        resid = max(resid, np.max(np.abs(recon, out=recon)))
+        _gate("brackets do not close on the chosen basis: max |residual|", np.max(np.abs(recon, out=recon)), 0.0)
         C[i, i + 1 :] = coords
         C[i + 1 :, i] = np.negative(coords, out=coords)
-    _gate("brackets do not close on the chosen basis: max |residual|", resid, 1e-9)
     return C
 
 
@@ -319,8 +317,8 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
         _gate(f"{what}: max |C|", np.max(np.abs(block)), 1e-9)
 
     # definiteness of the Killing form on both parts
-    ev_l = np.linalg.eigvalsh(0.5 * (K[:L, :L] + K[:L, :L].T))
-    ev_p = np.linalg.eigvalsh(0.5 * (K[L:, L:] + K[L:, L:].T))
+    ev_l = np.linalg.eigvalsh(K[:L, :L])  # K is an exact integer matrix, so exactly symmetric
+    ev_p = np.linalg.eigvalsh(K[L:, L:])
     _gate("Killing form is not negative definite on l: max eigenvalue", ev_l.max(), -1e-9)
     if ev_p.min() < 1e-9:
         raise ModelError(

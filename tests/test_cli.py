@@ -385,8 +385,18 @@ def test_table_never_imports_numpy_random():
     assert child.returncode == 0, child.stderr
 
 
-def test_default_table_is_byte_identical_on_one_and_two_blas_threads():
-    one, two = (run_cli("table", OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        # rows whose reports depend on the thread count unless C and K are exact
+        ["table", "--family", "so_p_2", "--params", "8", "--family", "su_pq", "--params", "5,4"],
+        ["model", "--family", "so_p_2", "--params", "8", "--samples", "100"],
+    ],
+    ids=["table", "table-so8_2-su5_4", "model-so8_2"],
+)
+def test_reports_are_byte_identical_on_one_and_two_blas_threads(argv):
+    one, two = (run_cli(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout and two.stdout == one.stdout
 

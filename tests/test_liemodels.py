@@ -6,9 +6,11 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pherm import liemodels, spaces
 from pherm import (
@@ -465,7 +467,7 @@ def test_structure_constants_are_exactly_antisymmetric(family, params):
 @pytest.mark.parametrize("family,params", TABLE_ROWS)
 def test_lie_model_kernels_match_loop_oracles(family, params):
     m = build_model(family, params)
-    assert rel_err(m.structure, structure_constants_loops(m.basis)) <= 1e-12
+    assert np.array_equal(m.structure, np.rint(structure_constants_loops(m.basis)))
     rw = model_curvature(m)
     assert rel_err(kappa(rw), kappa_dense(rw.entries)) <= 1e-12
     if m.flat:
@@ -485,7 +487,20 @@ def test_brackets_that_do_not_close_raise(monkeypatch):
         return l_mats[1:], p_mats  # i(E_00 - E_11) lies in [p, p]
 
     monkeypatch.setitem(liemodels._FAMILY_TABLE, "su_pq", dataclasses.replace(fam, basis=dropped))
-    with pytest.raises(ModelError, match=r"brackets do not close .*: max \|residual\| \S+ > 1e-09"):
+    with pytest.raises(ModelError, match=r"brackets do not close .*: max \|residual\| \S+ > 0e\+00"):
+        build_model("su_pq", (2, 1))
+
+
+def test_a_basis_with_non_integral_constants_raises(monkeypatch):
+    # doubling one p element gives constants of +-0.5, which no rounding to integers rebuilds
+    fam = liemodels._FAMILY_TABLE["su_pq"]
+
+    def doubled(p, q):
+        l_mats, p_mats = fam.basis(p, q)
+        return l_mats, [2 * p_mats[0]] + p_mats[1:]
+
+    monkeypatch.setitem(liemodels._FAMILY_TABLE, "su_pq", dataclasses.replace(fam, basis=doubled))
+    with pytest.raises(ModelError, match=r"brackets do not close .*: max \|residual\| \S+ > 0e\+00$"):
         build_model("su_pq", (2, 1))
 
 
@@ -755,6 +770,26 @@ def test_killing_form_does_not_depend_on_the_runs(monkeypatch):
     default = liemodels._killing_form(C)
     monkeypatch.setattr(spaces, "_BLOCK_BYTES", 0)  # one a per run
     assert np.max(np.abs(liemodels._killing_form(C) - default)) <= 1e-15 * np.max(np.abs(default))
+
+
+@pytest.mark.parametrize("family,params", list(TABLE_ROWS) + [("su_pq", (5, 4))])
+def test_structure_constants_and_killing_form_are_exact_integers(family, params):
+    m = build_model(family, params)
+    C, K = m.structure, m.killing
+    assert np.array_equal(C, np.rint(C)) and np.array_equal(K, np.rint(K))
+    assert np.array_equal(K, K.T)
+
+
+# rows whose K changes bits with the run budget unless C is exact
+_EXACT_C = {row: _structure_of(*row) for row in [("so_p_2", (8,)), ("su_pq", (4, 3))]}
+
+
+@given(row=st.sampled_from(sorted(_EXACT_C)), budget=st.integers(0, 2**20))
+def test_killing_form_is_bit_identical_under_any_run_budget(row, budget):
+    C = _EXACT_C[row]
+    default = liemodels._killing_form(C)
+    with mock.patch.object(spaces, "_BLOCK_BYTES", budget):
+        assert np.array_equal(liemodels._killing_form(C), default)
 
 
 def test_killing_form_of_so16_2_stays_within_the_block_budget():
