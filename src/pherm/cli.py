@@ -10,9 +10,9 @@ Three subcommands:
   verify  the randomized identity and operator-relation suites, exit code 0
           only if every suite passes at the configured tolerance.
 
-Exit codes: 0 success, 1 a verify suite failed, 2 a configuration or I/O
-error, 3 a crash (a failed internal check, i.e. ModelError, TagError or
-SpaceMismatchError, or any other exception; its traceback goes to stderr).
+Exit codes: 0 success, 1 a verify suite failed, 2 a rejected argument (all
+are decided before any model is built) or an unwritable --out, 3 any failure
+once the arguments are accepted: a crash, its traceback on stderr, no report.
 
 Reports are deterministic JSON documents (schema_version "1"); floats are
 serialized in full round-trip precision.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -30,6 +29,7 @@ import numpy as np
 
 from .algebra import hat, ricci_contraction
 from .invariants import (
+    check_sample_count,
     first_bianchi_residual,
     full_curvature,
     invariants,
@@ -40,15 +40,16 @@ from .invariants import (
 from .liemodels import (
     FAMILIES,
     OUT_OF_SCOPE_FAMILIES,
-    ModelError,
     build_model,
     c0_prime,
+    check_family,
     closed_form_constants,
     kappa,
     model_curvature,
 )
-from .maps import Q_VARIANTS, IdentityResult, canonical_Q, canonical_q_reference, fold_residuals, identity_suite
-from .spaces import SpaceMismatchError, TagError, make_space
+from .maps import Q_VARIANTS, IdentityResult, canonical_Q, canonical_q_reference, check_suite, fold_residuals
+from .maps import identity_suite
+from .spaces import make_space
 
 SCHEMA_VERSION = "1"
 
@@ -80,14 +81,19 @@ class RunConfig:
     trials: int = 100
 
     def __post_init__(self):
-        # a non-finite tolerance would pass (inf) or fail (nan) every suite
-        # whatever the residuals, and zero trials would check nothing
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be positive and finite")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        # every argument is decided here, by the rules of the modules that
+        # own them, so a failure once a command runs is a fault, not bad input
+        for family, params in self.models:
+            if not (self.command == "table" and family in OUT_OF_SCOPE_FAMILIES):
+                check_family(family, params)
+        if self.command == "model" and not self.models:
+            raise ValueError("the model command needs at least one --family/--params pair")
+        if self.command == "model" and len(self.seeds) > 1:
+            raise ValueError("the model command takes at most one --seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"--seed must be >= 0, got {min(self.seeds)}")
+        check_suite(self.trials, self.tolerance, *self.dims)
+        check_sample_count(self.samples)
 
 
 def _table_row(family, params):
@@ -139,10 +145,6 @@ def cmd_table(config: RunConfig) -> dict:
 
 
 def cmd_model(config: RunConfig) -> dict:
-    if not config.models:
-        raise ValueError("the model command needs at least one --family/--params pair")
-    if len(config.seeds) > 1:
-        raise ValueError("the model command takes at most one --seed")
     blocks = []
     for family, params in config.models:
         model = build_model(family, tuple(params))
@@ -299,19 +301,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        run = {"table": cmd_table, "model": cmd_model, "verify": cmd_verify}
-        doc = run[config.command](config)
-    except (ModelError, SpaceMismatchError, TagError):  # program faults, not configuration
-        traceback.print_exc()
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception:  # a crash must not read as a verdict (0 passed, 1 failed)
+    try:
+        doc = {"table": cmd_table, "model": cmd_model, "verify": cmd_verify}[config.command](config)
+        text = render_document(doc)
+    except Exception:  # the input is accepted, so this is a crash, never a verdict (0 passed, 1 failed)
         traceback.print_exc()
         return 3
 
-    text = render_document(doc)
     if config.output_path:
         try:
             with open(config.output_path, "w", encoding="utf-8") as fh:

@@ -258,11 +258,16 @@ def complex_sectional(rw: Curv4, Z: np.ndarray, W: np.ndarray) -> float:
     return _one_plane(rw, Z, W, "degenerate complex 2-plane")
 
 
-def sample_curvatures(rw: Curv4, n: int = 1000, seed: int = 0) -> dict:
-    """Deterministically sampled (min, max) curvature ranges."""
+def check_sample_count(n: int) -> int:
+    """The sample count as an int; ValueError for a bool, a non-integral count or one below 1."""
     if isinstance(n, bool) or not hasattr(n, "__index__") or n < 1:
         raise ValueError(f"sample count must be an integer >= 1, got {n!r}")
-    n = operator.index(n)
+    return operator.index(n)
+
+
+def sample_curvatures(rw: Curv4, n: int = 1000, seed: int = 0) -> dict:
+    """Deterministically sampled (min, max) curvature ranges."""
+    n = check_sample_count(n)
     rng = np.random.default_rng(seed)
     op = _wedge_op(rw)
     dim = rw.space.n

@@ -220,18 +220,20 @@ FAMILIES = tuple(name for name, fam in _FAMILY_TABLE.items() if fam.basis)
 OUT_OF_SCOPE_FAMILIES = tuple(name for name, fam in _FAMILY_TABLE.items() if not fam.basis)
 
 
-def _family(family: str, params: Sequence[int]) -> tuple[_Family, tuple]:
-    """The table record of a constructible family and its checked integer params."""
+def check_family(family: str, params: Sequence[int]) -> tuple:
+    """The checked integer params of a family with a matrix model; ValueError otherwise."""
     fam = _FAMILY_TABLE.get(family)
-    if fam is None or fam.basis is None:
+    if fam is None:
         raise ValueError(f"unknown family {family!r}; supported: {FAMILIES}")
+    if fam.basis is None:
+        raise ValueError(f"family {family!r} has no matrix model; `pherm table` lists its closed forms")
     params = tuple(params)
     if any(isinstance(x, bool) or not hasattr(x, "__index__") for x in params):
         raise ValueError(f"{family} parameters must be integers, got {params!r}")
     params = tuple(map(operator.index, params))
     if len(params) != len(fam.param_names) or min(params) < fam.min_param:
         raise ValueError(f"{family} needs {', '.join(fam.param_names)} >= {fam.min_param}")
-    return fam, params
+    return params
 
 
 def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, float]:
@@ -241,7 +243,7 @@ def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, fl
     if fam.c0_prime is None:
         raise ValueError(f"no closed-form constants for family {family!r}")
     if fam.basis:
-        _, params = _family(family, params)  # the parameters of a constructible family
+        params = check_family(family, params)  # the parameters of a constructible family
     return fam.c0_prime(*params), -1.0 / fam.dual_coxeter(*params)
 
 
@@ -286,8 +288,8 @@ def _killing_form(C: np.ndarray) -> np.ndarray:
 
 def build_model(family: str, params: Sequence[int]) -> LieModel:
     """Construct a family member and verify its structural invariants."""
-    fam, params = _family(family, params)
-
+    params = check_family(family, params)
+    fam = _FAMILY_TABLE[family]
     l_mats, p_mats = fam.basis(*params)
 
     mats = np.array(l_mats + p_mats, dtype=float)
@@ -307,14 +309,14 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     if family == "heisenberg":  # xi is the center z, the frame the p basis (x_1..x_d, y_1..y_d)
         return LieModel(family, params, d, True, mats, L, C, K, np.eye(1, L + P)[0], np.eye(P, L + P, L))
 
-    # bracket closure of the symmetric pair; l is the first L basis elements and p
-    # the rest, so each block is a basic slice (a view)
+    # bracket closure of the symmetric pair, exact as C is; l is the first L basis
+    # elements and p the rest, so each block is a basic slice (a view)
     for what, block in (
         ("[l, l] leaves l", C[:L, :L, L:]),
         ("[l, p] leaves p", C[:L, L:, :L]),
         ("[p, p] leaves l", C[L:, L:, L:]),
     ):
-        _gate(f"{what}: max |C|", np.max(np.abs(block)), 1e-9)
+        _gate(f"{what}: max |C|", np.max(np.abs(block)), 0.0)
 
     # definiteness of the Killing form on both parts
     ev_l = np.linalg.eigvalsh(K[:L, :L])  # K is an exact integer matrix, so exactly symmetric

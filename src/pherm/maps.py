@@ -449,6 +449,21 @@ _IDENTITIES = (
 )
 
 
+def check_suite(trials: int, tolerance: float, *dims: tuple[int, int]) -> int:
+    """The trial count as an int; ValueError for trials below 1 (they check nothing), a tolerance
+    that is not positive and finite (inf passes any residual) or a (source, target) dims pair."""
+    if isinstance(trials, bool) or not hasattr(trials, "__index__") or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be positive and finite")
+    for d, d_prime in dims:
+        if d < 2:
+            raise ValueError("the identity suite requires source half-dimension >= 2")
+        if d_prime < d:
+            raise ValueError("target half-dimension must be at least the source one")
+    return operator.index(trials)
+
+
 def identity_suite(
     d: int,
     d_prime: int,
@@ -466,16 +481,7 @@ def identity_suite(
     Trial t of identity i draws from `default_rng((seed, t, i))`; the trials
     are evaluated in blocks on stacked grids, one residual per trial.
     """
-    if d < 2:
-        raise ValueError("the identity suite requires source half-dimension >= 2")
-    if d_prime < d:
-        raise ValueError("target half-dimension must be at least the source one")
-    # zero trials check nothing, and an infinite tolerance passes anything
-    if isinstance(trials, bool) or not hasattr(trials, "__index__") or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    trials = operator.index(trials)
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError("tolerance must be positive and finite")
+    trials = check_suite(trials, tolerance, (d, d_prime))
     source = make_space(d, with_torsion=True)
     target = make_space(d_prime, with_torsion=True)
     # blocks of trials, each trial one n'^4 float64 target grid

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import load_workloads
 
@@ -350,6 +352,75 @@ def test_configuration_errors_still_exit_2(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--family", "su_pq", "--params", "2,1"],
+        ["model", "--family", "su_pq", "--params", "2,1", "--samples", "5"],
+        ["verify", "--trials", "1", "--dims", "2,2"],
+    ],
+)
+def test_a_value_error_once_the_input_is_accepted_exits_3(monkeypatch, capsys, argv):
+    # a NaN Killing form fails model_curvature's finiteness check with a plain
+    # ValueError; so does the identity below; neither is a configuration error
+    build = liemodels.build_model
+
+    def nan_killing(family, params):
+        model = build(family, params)
+        K = model.killing.copy()
+        K[0, 0] = np.nan
+        return dataclasses.replace(model, killing=K)
+
+    def invalid(rngs, *args):
+        raise ValueError("map data are not finite")
+
+    monkeypatch.setattr(cli, "build_model", nan_killing)
+    monkeypatch.setattr(maps, "_IDENTITIES", (("invalid_identity", invalid, {}),))
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "\nValueError: " in err and "not finite" in err
+
+
+def test_a_fault_while_rendering_exits_3(monkeypatch, capsys):
+    # json cannot write a numpy integer; a crash outside the commands is a crash too, not exit 1
+    monkeypatch.setattr(cli, "scalar_curvature", lambda rw: np.int64(0))
+    assert main(["table", "--family", "su_pq", "--params", "2,1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "TypeError: Object of type int64 is not JSON serializable" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["model", "--family", "su_pq", "--params", "6,5", "--family", "su_pq", "--params", "0,1"],
+            "su_pq needs p, q >= 1",
+        ),
+        (["model", "--family", "su_pq", "--params", "2,1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["verify", "--dims", "3,2"], "target half-dimension must be at least the source one"),
+    ],
+)
+def test_every_argument_is_decided_before_any_model_or_suite_is_built(monkeypatch, capsys, argv, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a command ran before its arguments were decided")
+
+    monkeypatch.setattr(cli, "build_model", unreachable)
+    monkeypatch.setattr(cli, "identity_suite", unreachable)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_model_calls_an_out_of_scope_family_out_of_scope(capsys):
+    # `table` lists the exceptional families' closed forms; `model` has no matrix to build
+    assert main(["model", "--family", "e6_spin10", "--params", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: family 'e6_spin10' has no matrix model; `pherm table` lists its closed forms\n"
 
 
 def test_verify_report_is_the_same_with_warm_and_cleared_caches(capsys):

@@ -184,8 +184,8 @@ def test_the_private_import_guard_sees_a_private_name():
     assert private_package_imports(tree) == ["_blocks", "_c0_prime"]
 
 
-def calls_by_function(tree: ast.AST, matches) -> set[str]:
-    """Names of the innermost functions that contain a call for which matches(call) holds."""
+def nodes_by_function(tree: ast.AST, matches) -> set[str]:
+    """Names of the innermost functions that contain a node for which matches(node) holds."""
     found = set()
 
     def visit(node, function):
@@ -193,7 +193,7 @@ def calls_by_function(tree: ast.AST, matches) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and matches(child):
+            if matches(child):
                 found.add(function)
             visit(child, function)
 
@@ -201,18 +201,22 @@ def calls_by_function(tree: ast.AST, matches) -> set[str]:
     return found
 
 
-def is_bare_curv4_new(call: ast.Call) -> bool:
+def is_bare_curv4_new(node: ast.AST) -> bool:
     """object.__new__(Curv4): a Curv4 that skips its __post_init__ checks."""
     return (
-        isinstance(call.func, ast.Attribute)
-        and call.func.attr == "__new__"
-        and _names(call.func.value) == {"object"}
-        and any(_names(arg) & {"Curv4"} for arg in call.args)
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and _names(node.func.value) == {"object"}
+        and any(_names(arg) & {"Curv4"} for arg in node.args)
     )
 
 
-def is_proven_curv4_call(call: ast.Call) -> bool:
-    return getattr(call.func, "attr", getattr(call.func, "id", None)) == "_proven_curv4"
+def is_proven_curv4_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_proven_curv4"
+    )
 
 
 def test_only_the_proven_constructor_skips_the_curv4_checks():
@@ -221,8 +225,8 @@ def test_only_the_proven_constructor_skips_the_curv4_checks():
     bare, proven = set(), set()
     for module in sorted(LAYERS):
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-        bare |= {(module, f) for f in calls_by_function(tree, is_bare_curv4_new)}
-        proven |= {(module, f) for f in calls_by_function(tree, is_proven_curv4_call)}
+        bare |= {(module, f) for f in nodes_by_function(tree, is_bare_curv4_new)}
+        proven |= {(module, f) for f in nodes_by_function(tree, is_proven_curv4_call)}
     assert bare == {("spaces", "_proven_curv4")}
     assert proven == {("spaces", "random_curv4"), ("liemodels", "model_curvature")}
 
@@ -235,8 +239,52 @@ def test_the_proven_constructor_guard_sees_a_bare_curv4():
         "def user(space, q):\n"
         "    return spaces._proven_curv4(space, q, ())\n"
     )
-    assert calls_by_function(tree, is_bare_curv4_new) == {"helper"}
-    assert calls_by_function(tree, is_proven_curv4_call) == {"user"}
+    assert nodes_by_function(tree, is_bare_curv4_new) == {"helper"}
+    assert nodes_by_function(tree, is_proven_curv4_call) == {"user"}
+
+
+def caught_names(tree: ast.AST) -> set[str]:
+    """Every bare and attribute name in the exception types of the `except` clauses."""
+    return set().union(
+        *(_names(node.type) for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type)
+    )
+
+
+def package_exception_names() -> set[str]:
+    """The exception classes that the `pherm` modules define."""
+    return {
+        name
+        for module in LAYERS
+        for name, obj in vars(importlib.import_module(f"pherm.{module}")).items()
+        if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__.startswith("pherm.")
+    }
+
+
+def test_only_main_catches_in_the_cli_and_never_a_package_exception():
+    # every argument is decided before a command runs, so main tells bad input
+    # (2) from a fault (3) by the step that failed, not by exception class
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert nodes_by_function(tree, lambda node: isinstance(node, ast.Try)) == {"main"}
+    assert caught_names(tree) & package_exception_names() == set()
+
+
+def test_the_catch_guard_sees_a_try_and_a_package_exception():
+    tree = ast.parse(
+        "def main():\n"
+        "    try:\n"
+        "        run()\n"
+        "    except (ValueError, spaces.TagError):\n"
+        "        return 3\n"
+        "class RunConfig:\n"
+        "    def __post_init__(self):\n"
+        "        try:\n"
+        "            check()\n"
+        "        except ModelError as exc:\n"
+        "            raise ValueError(exc)\n"
+    )
+    assert nodes_by_function(tree, lambda node: isinstance(node, ast.Try)) == {"main", "__post_init__"}
+    assert caught_names(tree) == {"ValueError", "spaces", "TagError", "ModelError"}
+    assert {"ModelError", "SpaceMismatchError", "TagError"} <= package_exception_names()
 
 
 def names_of(tree: ast.AST, name: str) -> list[int]:

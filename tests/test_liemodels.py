@@ -522,9 +522,9 @@ def _p_a_commuting_copy_of_l(l_mats, p_mats):
 @pytest.mark.parametrize(
     "change,message",
     [
-        (_swap_l0_p0, r"\[l, l\] leaves l: max \|C\| 2\.0e\+00 > 1e-09"),
-        (_shift_p_by_l0, r"\[l, p\] leaves p: max \|C\| 2\.0e\+00 > 1e-09"),
-        (_p_a_commuting_copy_of_l, r"\[p, p\] leaves l: max \|C\| 2\.0e\+00 > 1e-09"),
+        (_swap_l0_p0, r"\[l, l\] leaves l: max \|C\| 2\.0e\+00 > 0e\+00"),
+        (_shift_p_by_l0, r"\[l, p\] leaves p: max \|C\| 2\.0e\+00 > 0e\+00"),
+        (_p_a_commuting_copy_of_l, r"\[p, p\] leaves l: max \|C\| 2\.0e\+00 > 0e\+00"),
         (lambda l_mats, p_mats: (l_mats, p_mats[:-1]), r"odd horizontal dimension 3"),
         (
             lambda l_mats, p_mats: (l_mats, p_mats[:-2]),
@@ -537,6 +537,26 @@ def test_model_errors_carry_residual_and_bound(monkeypatch, change, message):
     basis = dataclasses.replace(fam, basis=lambda p, q: change(*fam.basis(p, q)))
     monkeypatch.setitem(liemodels._FAMILY_TABLE, "su_pq", basis)
     with pytest.raises(ModelError, match=message):
+        build_model("su_pq", (2, 1))
+
+
+@pytest.mark.parametrize(
+    "block,what",
+    [((0, 1, -1), r"\[l, l\] leaves l"), ((0, -1, 0), r"\[l, p\] leaves p"), ((-2, -1, -1), r"\[p, p\] leaves l")],
+)
+def test_closure_gates_refuse_any_off_grade_constant(monkeypatch, block, what):
+    # C is exact, so a constant of 1e-10 where the grading puts none is a bracket that does not close
+    structure_constants = liemodels._structure_constants
+
+    def perturbed(mats):
+        C = structure_constants(mats)
+        i, j, k = block
+        C[i, j, k] += 1e-10
+        C[j, i, k] -= 1e-10
+        return C
+
+    monkeypatch.setattr(liemodels, "_structure_constants", perturbed)
+    with pytest.raises(ModelError, match=rf"^{what}: max \|C\| 1\.0e-10 > 0e\+00$"):
         build_model("su_pq", (2, 1))
 
 
@@ -704,7 +724,7 @@ def test_factor_proof_raises_what_the_dense_check_raises(monkeypatch, name, eps,
 
 
 @pytest.mark.parametrize("family,params", TABLE_ROWS)
-def test_kappa_two_gathers_match_the_four_gather_oracle(family, params):
+def test_kappa_matches_the_four_gather_oracle_on_table_rows(family, params):
     rw = model_curvature(build_model(family, params))
     assert abs(kappa(rw) - kappa_four_gathers(rw.entries)) <= 1e-14
 
