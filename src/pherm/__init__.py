@@ -5,6 +5,8 @@ Hermitian-type homogeneous models from matrix Lie algebras, implements the
 pointwise curvature algebra (Kulkarni products, Bianchi map, hat operators,
 J/tau splittings, trace decompositions), and ships a randomized suite for
 the bilinear identities satisfied by horizontal and CR map data.
+Every public function is reached by a `pherm` command or an acceptance
+criterion; the seeded generators and `c0_constant` are the listed exceptions.
 """
 
 from .spaces import (
@@ -21,15 +23,11 @@ from .spaces import (
     random_bil2,
     random_curv4,
     torsion_forms,
-    wedge_pairs,
 )
 from .algebra import (
     CanonicalTensors,
-    bianchi_map,
     canonical_tensors,
     hat,
-    hat_action,
-    j_split,
     kulkarni,
     norm2,
     primitive_part,
@@ -37,9 +35,7 @@ from .algebra import (
     ring_action,
     scalar_product,
     sym_product,
-    tau_split,
     traceless_part,
-    unhat,
     wedge_adjoint,
 )
 from .invariants import (
@@ -49,10 +45,8 @@ from .invariants import (
     complex_sectional,
     first_bianchi_residual,
     full_curvature,
-    holomorphic_sectional,
     sample_curvatures,
     scalar_curvature,
-    sectional,
     space_form,
     torsion_curvature,
 )
@@ -63,7 +57,6 @@ from .liemodels import (
     build_model,
     c0_prime,
     closed_form_constants,
-    holonomy_commutant_dim,
     kappa,
     model_curvature,
 )
@@ -75,7 +68,6 @@ from .maps import (
     cr_map_datum,
     curvature_terms,
     identity_suite,
-    pullback2,
     pullback4,
     random_map_datum,
 )

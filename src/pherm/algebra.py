@@ -1,5 +1,6 @@
-"""Pointwise curvature algebra: products, contractions, hat operators,
-splittings and the canonical tensors built from g, omega, A, B.
+"""Pointwise curvature algebra: products, contractions, the hat operator,
+the J-splitting of 2-tensors and the canonical tensors built from g, omega,
+A, B.
 """
 from __future__ import annotations
 
@@ -15,20 +16,16 @@ from .spaces import (
     Curv4,
     Endo2Forms,
     HorizontalSpace,
-    SignedPerm,
     _check_same_space,
     _conjugate,
     _wedge_indices,
-    bianchi_grid,
     dot4,
     fundamental_form,
-    hat_2form_grid,
     kulkarni_grid,
     metric_form,
     primitive_grid,
     ring_grid,
     ricci_grid,
-    split_average_grid,
     sym_product_grid,
     wedge_trace,
 )
@@ -61,11 +58,6 @@ def kulkarni(h: Bil2, k: Bil2) -> Curv4:
     return Curv4(h.space, grid, frozenset(tags))
 
 
-def bianchi_map(q: Curv4) -> np.ndarray:
-    """Cyclic first-Bianchi sum; fully antisymmetric for pair-symmetric input."""
-    return bianchi_grid(q.entries)
-
-
 def ricci_contraction(q: Curv4) -> Bil2:
     """Frame trace c(Q)(X,Y) = sum_i Q(e_i, X, e_i, Y)."""
     ric = ricci_grid(q.entries)
@@ -85,13 +77,9 @@ def hat(q: Curv4) -> Endo2Forms:
     return Endo2Forms(q.space, q.entries[_wedge_index(q.space)])
 
 
-def unhat(e: Endo2Forms) -> Curv4:
-    """Inverse of `hat`: rebuild the 4-tensor from the wedge-basis grid."""
-    return Curv4(e.space, _unhat_grid(e.space, e.entries))
-
-
 def _unhat_grid(space: HorizontalSpace, e: np.ndarray) -> np.ndarray:
-    """`unhat` on a stack of wedge-basis grids (..., m, m), with no check."""
+    """The inverse of `hat`'s gather on a stack of wedge-basis grids (..., m, m): the
+    4-tensor grids, antisymmetric in both slot pairs, with no check."""
     q = np.zeros(e.shape[:-2] + (space.n,) * 4)
     q[_wedge_index(space)] = e  # inverse of hat's gather
     q = q - np.einsum("...yxzw->...xyzw", q)
@@ -110,40 +98,10 @@ def norm2(q: Curv4) -> float:
     return scalar_product(q, q)
 
 
-def hat_action(q: Curv4, gamma: Bil2) -> Bil2:
-    """Apply the induced wedge operator to an antisymmetric 2-tensor."""
-    if gamma.symmetry != "antisymmetric":
-        raise ValueError("hat_action expects an antisymmetric 2-tensor")
-    out = hat_2form_grid(q.entries, gamma.entries)
-    return Bil2(q.space, out, "antisymmetric")
-
-
 def ring_action(q: Curv4, s: np.ndarray) -> np.ndarray:
     """Curvature action sum_ij Q(e_i, X, Y, e_j) s_ij on a (vector-valued)
     2-tensor given as a raw grid of shape (2d, 2d) or (2d, 2d, k)."""
     return ring_grid(q.entries, s)
-
-
-def _pair_split(q: Curv4, P: SignedPerm, name: str) -> tuple[Curv4, Curv4]:
-    """The +/- parts of q under P-conjugation of both slot pairs, tagged
-    name_plus / name_minus (idempotent pair projections)."""
-    plus = split_average_grid(q.entries, P, +1)
-    minus = split_average_grid(q.entries, P, -1)
-    keep = q.tags & {"pair_symmetric"}
-    return (
-        Curv4(q.space, plus, keep | {f"{name}_plus"}),
-        Curv4(q.space, minus, keep | {f"{name}_minus"}),
-    )
-
-
-def j_split(q: Curv4) -> tuple[Curv4, Curv4]:
-    """J-invariant and J-anti-invariant parts."""
-    return _pair_split(q, q.space.J_pair, "j")
-
-
-def tau_split(q: Curv4) -> tuple[Curv4, Curv4]:
-    """tau-invariant and tau-anti-invariant parts; requires torsion."""
-    return _pair_split(q, q.space.require_torsion(), "tau")
 
 
 def primitive_part(q: Curv4) -> Curv4:

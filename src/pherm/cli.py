@@ -67,6 +67,8 @@ DEFAULT_TABLE_MODELS = (
 
 DEFAULT_VERIFY_DIMS = ((2, 2), (2, 3), (3, 3))
 
+TABLE_FAMILIES = FAMILIES + OUT_OF_SCOPE_FAMILIES  # model builds only the FAMILIES
+
 
 @dataclass
 class RunConfig:
@@ -84,8 +86,10 @@ class RunConfig:
         # every argument is decided here, by the rules of the modules that
         # own them, so a failure once a command runs is a fault, not bad input
         for family, params in self.models:
-            if not (self.command == "table" and family in OUT_OF_SCOPE_FAMILIES):
+            if self.command != "table" or family in FAMILIES:
                 check_family(family, params)
+            elif family not in OUT_OF_SCOPE_FAMILIES:  # table also lists their closed forms
+                raise ValueError(f"unknown family {family!r}; supported: {TABLE_FAMILIES}")
         if self.command == "model" and not self.models:
             raise ValueError("the model command needs at least one --family/--params pair")
         if self.command == "model" and len(self.seeds) > 1:
@@ -257,12 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, argument_default=argparse.SUPPRESS)
         for name in ("table", "model", "verify")
     )
-    for p in (table, model):
-        p.add_argument(
-            "--family",
-            action="append",
-            help=f"model family, one of {FAMILIES + OUT_OF_SCOPE_FAMILIES}",
-        )
+    for p, families in ((table, TABLE_FAMILIES), (model, FAMILIES)):
+        p.add_argument("--family", action="append", help=f"model family, one of {families}")
         p.add_argument(
             "--params",
             action="append",

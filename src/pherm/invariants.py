@@ -203,7 +203,7 @@ _BLOCK = 64  # planes per batched draw; one 1000-plane block raised peak memory 
 
 
 def _wedge_op(rw: Curv4) -> tuple:
-    """(hat(rw).entries, a, b), with (a, b) the pairs of `wedge_pairs` in order."""
+    """(hat(rw).entries, a, b), with (a, b) the wedge pairs of `_wedge_indices`."""
     return (hat(rw).entries, *_wedge_indices(rw.space))
 
 
@@ -236,26 +236,14 @@ def _plane_curvatures(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return num.real / den
 
 
-def _one_plane(rw: Curv4, X: np.ndarray, Y: np.ndarray, degenerate: str) -> float:
-    vals = _plane_curvatures(_wedge_op(rw), np.asarray(X)[None], np.asarray(Y)[None])
-    if not vals.size:
-        raise ValueError(degenerate)
-    return float(vals[0])
-
-
-def sectional(rw: Curv4, X: np.ndarray, Y: np.ndarray) -> float:
-    """Sectional curvature of the real 2-plane spanned by X, Y."""
-    return _one_plane(rw, X, Y, "degenerate 2-plane")
-
-
-def holomorphic_sectional(rw: Curv4, X: np.ndarray) -> float:
-    """Sectional curvature of the holomorphic plane spanned by X, JX."""
-    return sectional(rw, X, rw.space.J @ X)
-
-
 def complex_sectional(rw: Curv4, Z: np.ndarray, W: np.ndarray) -> float:
-    """Hermitian-extension curvature of the complex plane spanned by Z, W."""
-    return _one_plane(rw, Z, W, "degenerate complex 2-plane")
+    """Curvature of the plane spanned by Z, W: the sectional curvature of a real
+    plane, the Hermitian-extension curvature of a complex one; (X, JX) spans the
+    holomorphic plane of X."""
+    vals = _plane_curvatures(_wedge_op(rw), np.asarray(Z)[None], np.asarray(W)[None])
+    if not vals.size:
+        raise ValueError("degenerate 2-plane")
+    return float(vals[0])
 
 
 def check_sample_count(n: int) -> int:

@@ -505,24 +505,3 @@ def _kappa_lanczos(R: np.ndarray) -> tuple[float, int]:
         basis.append(w / b)
     T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
     return float(np.linalg.eigvalsh(T)[0]), len(alpha)
-
-
-def holonomy_commutant_dim(rw: Curv4) -> int:
-    """Dimension of the joint commutant of the curvature endomorphisms.
-
-    For the irreducible Hermitian-type models the commutant is spanned by
-    the identity and the complex structure, so the expected value is 2.
-    It is the null space of G, vec(C)^T G vec(C) = sum_p |[A_p, C]|^2 over the n^2
-    antisymmetric A_p = R(x, y, ., .): G = -(S (x) I + I (x) S) - 2 sum_p A_p (x) A_p
-    with S = sum_p A_p^2.  Eigenvalues at or below 1e-12 * lambda_max count as null.
-    """
-    n = rw.space.n
-    F = rw.entries.reshape(n * n, n * n)  # row p, column (a, c): A_p[a, c]
-    G = (F.T @ F).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    G *= -2.0  # -2 sum_p A_p (x) A_p, row (a, b), column (c, d)
-    S = -np.tensordot(rw.entries, rw.entries, axes=([0, 1, 3], [0, 1, 3]))  # A_p^2 = -A_p A_p^T
-    G4 = G.reshape(n, n, n, n)  # writable views of the diagonals of S (x) I and I (x) S
-    np.einsum("abcb->abc", G4)[...] -= S[:, None, :]
-    np.einsum("abad->abd", G4)[...] -= S[None, :, :]
-    lam = np.linalg.eigvalsh(G)
-    return int(np.sum(lam <= 1e-12 * lam[-1]))

@@ -21,7 +21,6 @@ import numpy as np
 
 from .spaces import (
     KAHLER_TAGS,
-    Bil2,
     Curv4,
     HorizontalSpace,
     TOL,
@@ -184,13 +183,6 @@ def canonical_q_reference(variant: str, d: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # pullbacks and curvature terms
 # ---------------------------------------------------------------------------
-
-def pullback2(t: Bil2, m: MapDatum) -> Bil2:
-    """(phi^* t)(X, Y) = t(dphi X, dphi Y) on the source space."""
-    if t.space.n != m.target.n:
-        raise ValueError("2-tensor does not live on the target space")
-    return Bil2(m.source, m.dphi.T @ t.entries @ m.dphi, t.symmetry)
-
 
 def pullback4(q: Curv4, m: MapDatum) -> Curv4:
     """Slotwise pullback of a 4-tensor along the horizontal differential."""
@@ -399,7 +391,7 @@ def _resid_jminus_torsion_contraction(rngs, source, target, broken):
     wedge = _wedge_index(source)
     hq = Q[wedge]
     comp = _unhat_grid(source, _full(source, Rs)[wedge] @ hq)
-    _check_curv4(source, comp, frozenset(), TOL)  # as `unhat` checks its Curv4
+    _check_curv4(source, comp, frozenset(), TOL)  # the checks of a `Curv4` built on it
     c = ricci_grid(comp)
     lhs = c + np.swapaxes(c, -1, -2)
     rhs = 2.0 * ((trq / source.d)[:, None, None] * source.B - ring_grid(Q, source.B[None]))
@@ -451,12 +443,15 @@ _IDENTITIES = (
 
 def check_suite(trials: int, tolerance: float, *dims: tuple[int, int]) -> int:
     """The trial count as an int; ValueError for trials below 1 (they check nothing), a tolerance
-    that is not positive and finite (inf passes any residual) or a (source, target) dims pair."""
+    that is not positive and finite (inf passes any residual) or a (source, target) dims pair
+    that is not a pair of integers, as the trials are, with 2 <= source <= target."""
     if isinstance(trials, bool) or not hasattr(trials, "__index__") or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be positive and finite")
     for d, d_prime in dims:
+        if any(isinstance(x, bool) or not hasattr(x, "__index__") for x in (d, d_prime)):
+            raise ValueError(f"dims must be integers, got {(d, d_prime)!r}")
         if d < 2:
             raise ValueError("the identity suite requires source half-dimension >= 2")
         if d_prime < d:

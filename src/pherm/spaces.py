@@ -465,11 +465,6 @@ def _wedge_indices(space: HorizontalSpace) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(space.n, 1)
 
 
-def wedge_pairs(space: HorizontalSpace) -> list[tuple[int, int]]:
-    """Lexicographic basis enumeration of wedge 2-vectors e_i ^ e_j, i < j."""
-    return list(zip(*(a.tolist() for a in _wedge_indices(space))))
-
-
 @dataclass(frozen=True, eq=False)
 class Endo2Forms:
     """Grid of the operator induced on wedge 2-vectors by a 4-tensor."""

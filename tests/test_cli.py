@@ -415,6 +415,26 @@ def test_every_argument_is_decided_before_any_model_or_suite_is_built(monkeypatc
     assert out == "" and err == f"error: {message}\n"
 
 
+def test_table_lists_every_family_it_takes_when_it_refuses_one(capsys):
+    assert main(["table", "--family", "su_pqr", "--params", "2,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    families = liemodels.FAMILIES + liemodels.OUT_OF_SCOPE_FAMILIES
+    assert err == f"error: unknown family 'su_pqr'; supported: {families}\n"
+    assert "'e6_spin10'" in err and "'e7_e6'" in err
+
+
+def test_each_command_helps_with_its_own_families(capsys):
+    helps = {}
+    for command in ("table", "model"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        helps[command] = capsys.readouterr().out
+    for family in liemodels.FAMILIES + liemodels.OUT_OF_SCOPE_FAMILIES:
+        assert f"'{family}'" in helps["table"]
+        assert (f"'{family}'" in helps["model"]) == (family in liemodels.FAMILIES), family
+
+
 def test_model_calls_an_out_of_scope_family_out_of_scope(capsys):
     # `table` lists the exceptional families' closed forms; `model` has no matrix to build
     assert main(["model", "--family", "e6_spin10", "--params", "1"]) == 2

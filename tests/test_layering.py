@@ -5,6 +5,7 @@ import ast
 import functools
 import importlib
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -408,3 +409,138 @@ def test_the_unread_import_guard_sees_an_orphaned_import():
         "    from .maps import canonical_Q\n"
     )
     assert unread_imports(tree) == ["TagError", "canonical_Q"]
+
+
+# Public functions that neither a command nor an acceptance criterion reaches, each kept for a reason
+UNREACHED_PUBLIC_ALLOWED = {
+    "spaces.random_curv4": "the seeded curvature draw the tests take their tensors from",
+    "spaces.random_bil2": "the seeded bilinear-form draw the tests take their 2-tensors from",
+    "maps.random_map_datum": "the seeded horizontal map datum the tests take their maps from",
+    "invariants.c0_constant": "the paper's balancing constant -(8d/(d-1)) |CM|^2 / s, alone",
+}
+
+
+def module_bindings(tree: ast.Module) -> dict[str, list]:
+    """What each top-level name of a package module is bound to: the def or class node,
+    the assigned value (a module-level table) or, for `from .m import name`, the module m."""
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            bound.setdefault(stmt.name, []).append(stmt)
+        elif isinstance(stmt, ast.Assign):
+            for node in (sub for target in stmt.targets for sub in ast.walk(target)):
+                if isinstance(node, ast.Name):
+                    bound.setdefault(node.id, []).append(stmt.value)
+        elif isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+            for alias in stmt.names:
+                bound.setdefault(alias.asname or alias.name, []).append(stmt.module)
+    return bound
+
+
+def reached_names(trees: dict[str, ast.Module], roots) -> set[tuple[str, str]]:
+    """The (module, name) pairs that the roots reach: through each name a definition's
+    body loads (function and class bodies and module-level tables alike) and each import."""
+    bindings = {module: module_bindings(tree) for module, tree in trees.items()}
+    seen, todo = set(), list(roots)
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in seen or name not in bindings.get(module, {}):
+            continue
+        seen.add((module, name))
+        for target in bindings[module][name]:
+            if isinstance(target, str):  # imported: the definition lives in that module
+                todo.append((target, name))
+            else:
+                todo += [
+                    (module, sub.id)
+                    for sub in ast.walk(target)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                ]
+    return seen
+
+
+def unreached_public_functions(trees: dict[str, ast.Module], roots) -> list[str]:
+    """`module.name` for each public top-level function that the roots do not reach."""
+    reached = reached_names(trees, roots)
+    return sorted(
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef)
+        and not stmt.name.startswith("_")
+        and (module, stmt.name) not in reached
+    )
+
+
+def acceptance_roots(tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, name) for each name that a test file imports from `pherm` or a `pherm` module."""
+    return [
+        ("__init__" if node.module == "pherm" else node.module.split(".")[1], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pherm"
+        for alias in node.names
+    ]
+
+
+def test_every_public_function_is_reached_by_a_command_or_a_criterion():
+    # a public function that no command and no acceptance criterion calls is code
+    # that nothing checks the paper with; each one kept has its reason above
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    roots = [("cli", "main"), *acceptance_roots(acceptance)]
+    assert unreached_public_functions(trees, roots) == sorted(UNREACHED_PUBLIC_ALLOWED)
+
+
+def test_the_reachability_guard_follows_bodies_tables_and_imports():
+    trees = {
+        "low": ast.parse(
+            "def used():\n"
+            "    return TABLE['a']()\n"
+            "def via_table():\n"
+            "    return 1\n"
+            "TABLE = {'a': lambda: via_table()}\n"
+            "class Box:\n"
+            "    def method(self):\n"
+            "        return in_class()\n"
+            "def in_class():\n"
+            "    return 2\n"
+            "def _unreached():\n"
+            "    return only_from_unreached()\n"
+            "def only_from_unreached():\n"
+            "    return 3\n"
+            "def orphan():\n"
+            "    return 4\n"
+        ),
+        "cli": ast.parse("from .low import used, Box\ndef main():\n    return used(), Box\n"),
+        "__init__": ast.parse("from .low import orphan\n"),
+    }
+    assert acceptance_roots(ast.parse("from pherm import orphan\nfrom pherm.low import in_class\n")) == [
+        ("__init__", "orphan"),
+        ("low", "in_class"),
+    ]
+    assert unreached_public_functions(trees, [("cli", "main")]) == ["low.only_from_unreached", "low.orphan"]
+    assert unreached_public_functions(trees, [("cli", "main"), ("__init__", "orphan")]) == [
+        "low.only_from_unreached"
+    ]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_citations(text: str) -> list[tuple[str, str]]:
+    """(module, name) for each code span that starts `module.name` or `pherm.module.name`
+    with a package module, such as `spaces._blocks` or `pherm.spaces.random_curv4(...)`."""
+    module = "|".join(LAYERS)
+    return re.findall(rf"`(?:pherm\.)?({module})\.([A-Za-z_]\w*)", text)
+
+
+def test_every_module_attribute_readme_cites_exists():
+    # the docs name no deleted or renamed code
+    cited = readme_citations(README.read_text(encoding="utf-8"))
+    missing = [f"{m}.{name}" for m, name in cited if not hasattr(importlib.import_module(f"pherm.{m}"), name)]
+    assert cited and missing == []
+
+
+def test_the_readme_citation_guard_reads_both_forms():
+    text = "`spaces._blocks(count, unit)` and `pherm.maps.fold_residuals`, not `perfbench.run` or maps.py"
+    assert readme_citations(text) == [("spaces", "_blocks"), ("maps", "fold_residuals")]

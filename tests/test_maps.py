@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,9 @@ from pherm import (
     curvature_terms,
     hat,
     identity_suite,
-    j_split,
     make_space,
     model_curvature,
     metric_form,
-    pullback2,
     pullback4,
     random_curv4,
     random_map_datum,
@@ -35,6 +34,7 @@ from pherm import algebra, maps, spaces
 from pherm.maps import canonical_q_reference
 from pherm.spaces import KAHLER_TAGS, bianchi_grid, hat_2form_grid, inner2
 
+from conftest import pair_split
 from oracles import (
     curvature_terms_einsum,
     pullback4_einsum,
@@ -161,7 +161,7 @@ def test_pullback_identity_map():
         is_cr=True,
     )
     g = metric_form(sp)
-    assert np.allclose(pullback2(g, m).entries, sp.g, atol=1e-14)
+    assert np.allclose(m.dphi.T @ g.entries @ m.dphi, sp.g, atol=1e-14)
     rw = space_form(2, -6.0)
     assert np.allclose(pullback4(rw, m).entries, rw.entries, atol=1e-14)
 
@@ -171,11 +171,9 @@ def test_cr_datum_conformal_factor():
     tgt = make_space(3, with_torsion=True)
     m = cr_map_datum(src, tgt, f=2.25, seed=4)
     g_t = metric_form(tgt)
-    assert np.allclose(pullback2(g_t, m).entries, 2.25 * src.g, atol=1e-12)
+    assert np.allclose(m.dphi.T @ g_t.entries @ m.dphi, 2.25 * src.g, atol=1e-12)
     # J-anti-invariance of the pulled-back torsion form of the target
-    pb = pullback2(
-        type(g_t)(tgt, tgt.B.copy(), "symmetric"), m
-    ).entries
+    pb = m.dphi.T @ tgt.B @ m.dphi
     plus = 0.5 * (pb + src.J.T @ pb @ src.J)
     assert np.max(np.abs(plus)) < 1e-12
 
@@ -252,7 +250,7 @@ def test_complex_frame_sums_match_jsplit_traces():
     q_t = random_curv4(tgt, {"pair_symmetric", "bianchi_closed", "j_plus"}, seed=22)
     rep = curvature_terms(q_t, m)
     pull = pullback4(q_t, m)
-    pp, pm = j_split(pull)
+    pp, pm = pair_split(pull, "j")
     assert rep.r20 == pytest.approx(hat(pm).trace, abs=1e-10)
     assert rep.r11 == pytest.approx(hat(pp).trace, abs=1e-10)
 
@@ -327,12 +325,12 @@ def test_gradient_forms_reduce_to_jtype_norms():
 
 
 def test_torsion_model_primitive_part_is_tau_invariant_piece():
-    from pherm import primitive_part, tau_split, torsion_curvature
+    from pherm import primitive_part, torsion_curvature
 
     for d, s in ((2, -4.0), (3, -5.5)):
         sp = make_space(d, with_torsion=True)
         rw, _ = torsion_curvature(sp, s)
-        ic0_plus, _ = tau_split(canonical_tensors(sp).Ic0)
+        ic0_plus, _ = pair_split(canonical_tensors(sp).Ic0, "tau")
         expect = (2.0 * s / d**2) * ic0_plus.entries
         assert np.max(np.abs(primitive_part(rw).entries - expect)) < 1e-12
 
@@ -450,6 +448,15 @@ def test_identity_suite_rejects_a_smaller_target_before_any_identity(monkeypatch
     with pytest.raises(ValueError, match="target half-dimension"):
         identity_suite(3, 2)
     assert blocks == []  # not left to the CR map data of the seventh identity
+
+
+def test_identity_suite_rejects_dims_that_are_not_integers(monkeypatch):
+    # decided by the one input rule, as the trials are, not by a TypeError from make_space
+    blocks = spy_identities(monkeypatch)
+    for dims in ((2, 3.5), (2.0, 3), (True, 3), (2, np.float64(3))):
+        with pytest.raises(ValueError, match=re.escape(f"dims must be integers, got {dims!r}")):
+            identity_suite(*dims)
+    assert blocks == []
 
 
 def test_identity_suite_evaluates_large_dims_in_blocks(monkeypatch):

@@ -14,7 +14,6 @@ from pherm import (
     make_space,
     random_bil2,
     random_curv4,
-    wedge_pairs,
 )
 from pherm.spaces import (
     Bil2,
@@ -25,11 +24,12 @@ from pherm.spaces import (
     split_average_grid,
 )
 from pherm import algebra, spaces
-from pherm.algebra import hat, unhat
+from pherm.algebra import hat
 
 from oracles import (
     antisym_pairs_expr,
     bianchi_expr,
+    bianchi_loops,
     bianchi_project_expr,
     pair_sym_expr,
     random_curv4_loop,
@@ -252,11 +252,11 @@ def test_curv4_tag_verification_rejects_lies():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_wedge_basis_and_hat_roundtrip(d):
     sp = make_space(d)
-    pairs = wedge_pairs(sp)
+    pairs = list(zip(*(a.tolist() for a in spaces._wedge_indices(sp))))
     assert len(pairs) == d * (2 * d - 1)
     assert pairs == sorted(pairs)
     q = random_curv4(sp, {"pair_symmetric"}, seed=11)
-    back = Curv4(q.space, unhat(hat(q)).entries, q.tags)
+    back = Curv4(q.space, algebra._unhat_grid(sp, hat(q).entries), q.tags)
     assert np.array_equal(back.entries, q.entries)  # exact round trip
 
 
@@ -265,9 +265,10 @@ def test_unhat_matches_loop_oracle(d):
     # an arbitrary operator grid, not only one in the image of hat: the
     # vectorised scatter must place every entry exactly where the loop does
     sp = make_space(d)
-    m = len(wedge_pairs(sp))
+    m = len(spaces._wedge_indices(sp)[0])
     op = np.random.default_rng(d).standard_normal((m, m))
-    assert np.array_equal(unhat(Endo2Forms(sp, op)).entries, unhat_loops(op, sp.n))
+    back = Curv4(sp, algebra._unhat_grid(sp, Endo2Forms(sp, op).entries))
+    assert np.array_equal(back.entries, unhat_loops(op, sp.n))
 
 
 def test_slot_contract_matches_einsum_with_vector_and_none_slots():
@@ -300,6 +301,23 @@ def test_split_average_grid_matches_einsum_oracle(d):
             assert rel_err(split_average_grid(q, pair, sign), want) <= 1e-12
             want = split_average_grid(qi.astype(float), pair, sign)
             assert np.array_equal(split_average_grid(qi, pair, sign), want)
+
+
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32), torsion=st.booleans(), sign=st.sampled_from((1, -1)))
+def test_split_average_grid_matches_einsum_oracle_property(d, seed, torsion, sign):
+    # the kernel that gives a tensor's J and tau parts, on any grid, against dense J or tau
+    sp = make_space(d, with_torsion=True)
+    pair, P = (sp.tau_pair, sp.tau) if torsion else (sp.J_pair, sp.J)
+    q = np.random.default_rng(seed).standard_normal((sp.n,) * 4)
+    got, want = split_average_grid(q, pair, sign), split_average_einsum(q, P, sign)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(q))
+
+
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_bianchi_grid_matches_loop_oracle_property(d, seed):
+    # the same three terms added in the same order: equal bit for bit
+    q = np.random.default_rng(seed).standard_normal((2 * d,) * 4)
+    assert np.array_equal(bianchi_grid(q), bianchi_loops(q))
 
 
 def _random_signed_permutation(rng, n):
