@@ -58,6 +58,7 @@ from .liemodels import (
     c0_prime,
     closed_form_constants,
     kappa,
+    model_constants,
     model_curvature,
 )
 from .maps import (

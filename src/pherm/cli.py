@@ -34,17 +34,15 @@ from .invariants import (
     full_curvature,
     invariants,
     sample_curvatures,
-    scalar_curvature,
     torsion_curvature,
 )
 from .liemodels import (
     FAMILIES,
     OUT_OF_SCOPE_FAMILIES,
     build_model,
-    c0_prime,
     check_family,
     closed_form_constants,
-    kappa,
+    model_constants,
     model_curvature,
 )
 from .maps import Q_VARIANTS, IdentityResult, canonical_Q, canonical_q_reference, check_suite, fold_residuals
@@ -111,18 +109,16 @@ def _table_row(family, params):
             "kappa_closed_form": ref_kappa,
         }
     model = build_model(family, params)
-    rw = model_curvature(model)
+    s, computed_c0, computed_kappa = model_constants(model)  # from the curvature's factor, no grid
     row = {
         "family": family,
         "params": list(params),
         "d": model.d,
         "status": "flat" if model.flat else "ok",
-        "s": scalar_curvature(rw),  # exactly 0.0 on the flat model's zero grid
+        "s": s,  # exactly 0.0 on the flat model, whose K[l, l] is 0
     }
-    computed_kappa = kappa(rw)
     if model.flat:
         return {**row, "c0_prime": None, "kappa": computed_kappa}
-    computed_c0 = c0_prime(rw)
     ref_c0, ref_kappa = closed_form_constants(family, params)
     row.update(
         {
@@ -152,7 +148,6 @@ def cmd_model(config: RunConfig) -> dict:
     blocks = []
     for family, params in config.models:
         model = build_model(family, tuple(params))
-        rw = model_curvature(model)
         block = {
             "family": family,
             "params": list(params),
@@ -163,19 +158,23 @@ def cmd_model(config: RunConfig) -> dict:
             # the trace decomposition degenerates; rho is a multiple of
             # omega for dimension reasons, so the flag is trivially true
             cm_norm2 = 0.0 if model.flat else None
-            block.update({"s": scalar_curvature(rw), "pseudo_einstein": True, "cm_norm2": cm_norm2})
+            block.update({"s": model_constants(model)[0], "pseudo_einstein": True, "cm_norm2": cm_norm2})
         else:
+            # the grid serves the trace decomposition and the sampling; c0' and kappa
+            # are read from the factor, as in `table`
+            rw = model_curvature(model)
             rep = invariants(rw)
             block.update(
                 {"s": rep.scalar, "pseudo_einstein": rep.pseudo_einstein, "cm_norm2": rep.cm_norm2}
             )
             if not model.flat:
                 ranges = sample_curvatures(rw, config.samples, config.seeds[0])
+                _, computed_c0, computed_kappa = model_constants(model)
                 block.update(
                     {
                         # s < 0 here: beta is negative definite on l, which holds [p, p] != 0
-                        "c0_prime": c0_prime(rw),
-                        "kappa": kappa(rw),
+                        "c0_prime": computed_c0,
+                        "kappa": computed_kappa,
                         "curvature_ranges": {name: list(r) for name, r in ranges.items()},
                     }
                 )

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,10 +25,8 @@ from .spaces import (
     HorizontalSpace,
     _blocks,
     _conjugate,
-    _grid_scale,
     _judge_curv4,
     _proven_curv4,
-    _tag_residual,
     make_space,
     slot_contract,
 )
@@ -63,6 +62,20 @@ class LieModel:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def _factor(self) -> _KahlerFactor:
+        """The curvature factor, proven Kähler on first use and kept, so a command that reads
+        both the grid and the constants proves it once.  [p, p] lies in l (checked, or the
+        Heisenberg center), so only C[p, p, l] and K[l, l] count; the Heisenberg algebra is
+        nilpotent, so its K[l, l] = 0 and its R is exactly +0.0."""
+        space = make_space(self.d)
+        L = self.l_dim
+        frame = self.p_frame[:, L:].T
+        W = slot_contract(self.structure[L:, L:, :L], frame, frame)
+        K = self.killing[:L, :L]  # the last slot pair lowered with the metric
+        _prove_kahler_factor(self, space, W, K)
+        return _KahlerFactor(space, W, K)
 
     def __repr__(self):
         return f"LieModel({self.family}{self.params}, d={self.d})"
@@ -389,30 +402,58 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     return LieModel(family, params, d, False, mats, L, C, K, xi, frame)
 
 
+class _KahlerFactor(NamedTuple):
+    """A Lie model's curvature as its factor: R = F K F^T for F = W.reshape(n^2, L), with
+    W = C[p, p, l] read in the adapted frame (n, n, L) and K = K[l, l], proven Kähler by
+    `_prove_kahler_factor` (`LieModel._factor`).  `model_curvature` forms R from it;
+    `model_constants` reads s, c0' and kappa from it without R."""
+
+    space: HorizontalSpace
+    W: np.ndarray
+    K: np.ndarray
+
+
 def model_curvature(model: LieModel) -> Curv4:
-    """Curvature tensor in the adapted frame.
-
-    R = F K F^T for the factor F = W.reshape(n^2, L), W = C[p, p, l] read in the
-    frame (n, n, L), and K = K[l, l]: one BLAS product.  The Kähler tags are
-    proven on the factor (`_prove_kahler_factor`), not on the n^4 grid, for the flat family
-    too: the Heisenberg algebra is nilpotent, so K[l, l] = 0 and R is exactly +0.0."""
-    space = make_space(model.d)
+    """Curvature tensor in the adapted frame, R = F K F^T from the proven factor
+    (`LieModel._factor`): one BLAS product.  The Kähler tags are proven on the factor,
+    not on the n^4 grid, for the flat family too."""
+    space, W, K = model._factor
     n = space.n
-    # [p, p] lies in l (checked, or the Heisenberg center): only C[p, p, l] and K[l, l] count
-    L = model.l_dim
-    frame = model.p_frame[:, L:].T
-    W = slot_contract(model.structure[L:, L:, :L], frame, frame)
-    K = model.killing[:L, :L]  # the last slot pair lowered with the metric
+    F = W.reshape(n * n, -1)
+    return _proven_curv4(space, ((F @ K) @ F.T).reshape((n,) * 4), KAHLER_TAGS)
+
+
+def model_constants(model: LieModel) -> tuple[float, Optional[float], float]:
+    """Scalar curvature s, c0' (None on the flat model) and kappa of the model's curvature,
+    read from its proven factor (`LieModel._factor`) without forming the n^4 grid.
+
+    With G = F^T F (L x L): s = tr(G K) is the trace of the Ricci contraction,
+    |R|^2 = tr(G K G K) / 8 is `norm2`, and c0' = -4 |R|^2 / s as in `c0_prime`.  kappa
+    is `kappa`'s Lanczos on the operator h -> sum_l W_l h V_l, V = W K, which is the grid's
+    sum_xy R(e_i, e_x, e_y, e_j) h[x, y] in two BLAS products, h V and then W (h V)."""
+    _, W, K = model._factor
+    n, _, L = W.shape
     F = W.reshape(n * n, L)
-    R = ((F @ K) @ F.T).reshape((n,) * 4)
-    _prove_kahler_factor(space, W, K, R)
-    return _proven_curv4(space, R, KAHLER_TAGS)
+    GK = (F.T @ F) @ K
+    s = float(np.trace(GK))
+    c0 = None if model.flat else _c0_prime(float(np.sum(GK * GK.T)) / 8.0, s)
+    V = (K @ W.transpose(0, 2, 1)).reshape(n, L * n)  # V[y, (l, j)] = sum_l' K[l, l'] W[y, j, l']
+    W2 = W.reshape(n, n * L)  # W2[i, (x, l)]
+    return s, c0, _lanczos_lowest(n, lambda h: W2 @ (h @ V).reshape(n * L, n))[0]
 
 
-def _prove_kahler_factor(space: HorizontalSpace, W: np.ndarray, K: np.ndarray, R: np.ndarray) -> None:
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53: a k-term sum of products, in any order, is off
+    by at most gamma_k times the sum of the |products| (Higham 2002, section 3.1)."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
+def _prove_kahler_factor(model: LieModel, space: HorizontalSpace, W: np.ndarray, K: np.ndarray) -> None:
     """Raise what `Curv4(space, R, KAHLER_TAGS)` would raise on R = F K F^T, F = W.reshape(n^2, L),
-    from checks on the factor, in the same order and against the same bound
-    TOL * s, s = max(1, max |R|) (from max R and min R).
+    from checks on the factor and on the model's C and K, in the same order, without forming R.
+    Each residual is held to TOL * 1, never above the grid check's TOL * max(1, max |R|), so no
+    check is looser; a Killing-normalised model has max |R| <= 1/2, where the two agree.
 
     Write m = max |F|, k = max(|K|_1, |K|_inf) (largest column or row sum of |K|) and
     |X|_r for the largest row sum of |X|.  |u K v^T| <= |u|_1 k max|v| for rows u, v,
@@ -423,15 +464,20 @@ def _prove_kahler_factor(space: HorizontalSpace, W: np.ndarray, K: np.ndarray, R
       R - P_J R = (D K F^T + F K D^T + D K F^T + F_J K D^T) / 4, so |R - P_J R| <= |D|_r k m;
     - pair_symmetric: R - (R + R^swap) / 2 = F (K - K^T) F^T / 2, so the residual is
       at most |F|_r |K - K^T|_r m / 2;
-    - bianchi_closed: max |b(R)| over row blocks of R, the grid check itself.
-    A factor residual within TOL * s thus implies the grid's, up to the rounding of R
-    itself (about L * 1e-16 * |F|_r k m, far below TOL).  W and K must be finite, as a
-    non-finite entry of either makes R non-finite.  The bounds are sufficient, not
+    - bianchi_closed: `_bianchi_certificate` shows, exactly, that b(R) = 0 for the exact
+      W of the model's frame, so what is left of b(R) is rounding (inf if the certificate
+      fails).  W rounds in two n-term contractions: its error dF has row sums at most
+      w = gamma_2n max (|f|^T S |f|) for the frame f and S[a, b] = sum_l |C[a, b, l]|, so the
+      exact (F - dF) K (F - dF)^T is within w k (2 m + w) of F K F^T; the two L-term products
+      of R round by at most gamma_2L |F|_r k m; b sums three entries, so
+      |b(R)| <= 3 (2 w k (m + w) + gamma_2L |F|_r k m).
+    A factor residual within TOL thus implies the grid's, up to the rounding of R itself
+    in the first three (about L * 1e-16 * |F|_r k m, far below TOL).  W and K must be finite,
+    as a non-finite entry of either makes R non-finite.  The bounds are sufficient, not
     tight: on perturbed models they run up to about 35 times the grid residual, so a
     grid that passes with less margin than that fails here, with the grid check's error."""
     n, L = W.shape[1], W.shape[2]
-    finite = np.all(np.isfinite(W)) and np.all(np.isfinite(K))
-    scale = _grid_scale(R) if finite else np.nan
+    scale = 1.0 if np.all(np.isfinite(W)) and np.all(np.isfinite(K)) else np.nan
     F = W.reshape(n * n, L)
     m = np.max(np.abs(F))
     k = max(np.max(np.sum(np.abs(K), axis=0)), np.max(np.sum(np.abs(K), axis=1)))
@@ -449,17 +495,77 @@ def _prove_kahler_factor(space: HorizontalSpace, W: np.ndarray, K: np.ndarray, R
             return rows1(W - _conjugate(W, space.J_pair, -3)) * k * m
         if tag == "pair_symmetric":
             return 0.5 * rows1(F) * rows1(K - K.T) * m
-        return _tag_residual(space, R, tag)  # bianchi_closed, on R
+        return _bianchi_bound(model, rows1(F), k, m)  # bianchi_closed
 
     _judge_curv4(scale, antisym, factor_residual, KAHLER_TAGS, TOL)
 
 
-def c0_prime(rw: Curv4) -> float:
-    """Scale-covariant curvature-norm constant -4 |R|^2 / s."""
-    s = scalar_curvature(rw)
+def _bianchi_bound(model: LieModel, f_r: float, k: float, m: float) -> float:
+    """The bound on max |b(R)| of `_prove_kahler_factor`, for |F|_r = f_r, k and m as there:
+    inf unless `_bianchi_certificate` holds, and then the rounding of W and of R."""
+    if not _bianchi_certificate(model):
+        return np.inf
+    n, L = 2 * model.d, model.l_dim
+    f = np.abs(model.p_frame[:, L:])  # (n, n): frame vector x in p's basis
+    w = _gamma(2 * n) * np.max(f @ np.sum(np.abs(model.structure[L:, L:, :L]), axis=2) @ f.T)
+    return 3.0 * (2.0 * w * k * (m + w) + _gamma(2 * L) * f_r * k * m)
+
+
+def _bianchi_certificate(model: LieModel) -> bool:
+    """Whether the model's C and K satisfy, exactly, the two facts that give
+    R(x, y, z, w) = K([[x, y], z], w) and with it the first Bianchi identity of
+    R = F K F^T in any frame, checked on C's nonzeros, without R:
+    (b) K is ad-invariant: K[l, l] C[p, p, l]^T = C[l, p, p] K[p, p] as (L, n^2) matrices,
+        so R(x, y, z, w) = sum_q T(x, y, z, q) K[q, w] for T(a, b, c, q) = sum_l C[a, b, l] C[l, c, q];
+    (a) C satisfies Jacobi on p^3 through l: J(a, b, c, q) = T(a, b, c, q) + T(c, a, b, q)
+        + T(b, c, a, q) = 0 for all a, b, c, q in p, so b(R)(x, y, z, w) = sum_q J(x, y, z, q) K[q, w] = 0.
+    `build_model`'s C and K hold integers, so every sum here is exact in float64 and both
+    checks are equalities.  (b) is taken in `_blocks` of l rows.  (a) joins the nonzeros of
+    C[p, p, l] (ordered by l) with those of C[l, p, p] (ordered by q) on l, by a count and a
+    cumulative sum, so its terms come ordered by q.  J is cyclic in (a, b, c) and is the sum of
+    the terms over the three rotations, so each term is added once, at the smallest of the
+    three keys, into one buffer over a `_blocks` run of q."""
+    L, C = model.l_dim, model.structure
+    A, B = C[L:, L:, :L], C[:L, L:, L:]  # [p, p] -> l and [l, p] -> p, views
+    Kl, Kp = model.killing[:L, :L], model.killing[L:, L:]
+    n = A.shape[0]
+    for run in _blocks(L, n * n * A.itemsize):  # (b): [z, w, l] on both sides
+        if not np.array_equal(A @ Kl[run].T, (B[run] @ Kp).transpose(1, 2, 0)):
+            return False
+
+    la, a, b = np.nonzero(A.transpose(2, 0, 1))
+    va = A[a, b, la]
+    count = np.bincount(la, minlength=L)
+    first = np.cumsum(count) - count  # A's nonzeros with l = j are first[j] + range(count[j])
+    qb, lb, c = np.nonzero(B.transpose(2, 0, 1))
+    vb = B[lb, c, qb]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(qb, minlength=n))))  # of each q among them
+    runs = _blocks(n, n**3 * A.itemsize)
+    buf = np.zeros(len(range(n)[runs[0]]) * n**3)
+    for run in runs:
+        q0, q1, _ = run.indices(n)
+        j = slice(starts[q0], starts[q1])
+        rep = count[lb[j]]  # the terms of each of B's nonzeros in the run
+        t = np.repeat(first[lb[j]] - (np.cumsum(rep) - rep), rep) + np.arange(rep.sum())  # their A nonzeros
+        x, y, z = a[t], b[t], np.repeat(c[j], rep)
+        key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x), (z * n + x) * n + y)
+        key += np.repeat(qb[j] - q0, rep) * n**3
+        np.add.at(buf, key, va[t] * np.repeat(vb[j], rep))
+        if np.any(buf[key]):  # else every entry it touched is 0 again, ready for the next run
+            return False
+    return True
+
+
+def _c0_prime(norm2_value: float, s: float) -> float:
+    """c0' = -4 |R|^2 / s from |R|^2 and s; undefined where s vanishes."""
     if abs(s) < 1e-12:
         raise ValueError("scalar curvature vanishes; constant undefined")
-    return -4.0 * norm2(rw) / s
+    return -4.0 * norm2_value / s
+
+
+def c0_prime(rw: Curv4) -> float:
+    """Scale-covariant curvature-norm constant -4 |R|^2 / s."""
+    return _c0_prime(norm2(rw), scalar_curvature(rw))
 
 
 def kappa(rw: Curv4) -> float:
@@ -473,6 +579,7 @@ def kappa(rw: Curv4) -> float:
     eigenspace, so its lowest Ritz value is kappa unless the start is orthogonal
     to the lowest eigenspace (36 of 77 dimensions at su(3, 2)).  A Lie model's
     form has at most five distinct eigenvalues, so this takes at most five steps.
+    `model_constants` runs the same iteration on a model's factor, without the grid.
     """
     if not rw.has("pair_symmetric"):
         raise ValueError("kappa requires a pair-symmetric tensor")
@@ -482,6 +589,13 @@ def kappa(rw: Curv4) -> float:
 def _kappa_lanczos(R: np.ndarray) -> tuple[float, int]:
     """kappa of the pair-symmetric grid R, and the number of Lanczos steps."""
     n = R.shape[0]
+    # the grid product sum_xy R[i, x, y, j] h[x, y], through a view of R
+    return _lanczos_lowest(n, lambda h: h.ravel() @ R.reshape(n, n * n, n))
+
+
+def _lanczos_lowest(n: int, apply: Callable[[np.ndarray], np.ndarray]) -> tuple[float, int]:
+    """The lowest eigenvalue of T(h) = the traceless symmetric part of apply(h), over the
+    traceless symmetric n x n matrices h, by `kappa`'s Lanczos, and the number of steps."""
 
     def traceless_sym(Y):
         h = 0.5 * (Y + Y.T)
@@ -492,7 +606,7 @@ def _kappa_lanczos(R: np.ndarray) -> tuple[float, int]:
     q = traceless_sym((np.arange(1.0, n * n + 1) * 0.6180339887498949 % 1.0).reshape(n, n))
     basis, alpha, beta, scale = [q / np.linalg.norm(q)], [], [], 0.0
     while True:
-        w = traceless_sym(basis[-1] @ R.reshape(n, n * n, n))  # a view: sum_xy R[i, x, y, j] h[x, y]
+        w = traceless_sym(apply(basis[-1].reshape(n, n)))
         alpha.append(basis[-1] @ w)
         B = np.array(basis)
         w -= (B @ w) @ B

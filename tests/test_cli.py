@@ -386,7 +386,7 @@ def test_a_value_error_once_the_input_is_accepted_exits_3(monkeypatch, capsys, a
 
 def test_a_fault_while_rendering_exits_3(monkeypatch, capsys):
     # json cannot write a numpy integer; a crash outside the commands is a crash too, not exit 1
-    monkeypatch.setattr(cli, "scalar_curvature", lambda rw: np.int64(0))
+    monkeypatch.setattr(cli, "closed_form_constants", lambda family, params: (np.int64(0), np.int64(0)))
     assert main(["table", "--family", "su_pq", "--params", "2,1"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from pherm import (
     kappa,
     companion_tensor,
     make_space,
+    model_constants,
     model_curvature,
     primitive_part,
     random_curv4,
@@ -532,9 +534,10 @@ def test_largest_model_builds_within_memory_budget():
     assert int(res.stdout) / 1024 < BUILD_MEMORY_BUDGET_MIB  # ru_maxrss is in KiB on Linux
 
 
-# the su(5,4) table row (n = 40, a 20 MiB curvature grid) raises ru_maxrss by
-# about 48 MiB with one BLAS thread; full-size check transients made it 91
-TABLE_ROW_MEMORY_BUDGET_MIB = 70
+# the su(5,4) table row (n = 40) raises ru_maxrss by about 9 MiB with one BLAS
+# thread, as it never forms the curvature grid, 40^4 doubles or 19.5 MiB; forming
+# the grid made it 29.6, and full-size check transients on the grid made it 91
+TABLE_ROW_MEMORY_BUDGET_MIB = 20
 
 
 def test_largest_table_row_runs_within_memory_budget():
@@ -644,6 +647,150 @@ def test_factor_proof_raises_what_the_dense_check_raises(monkeypatch, name, eps,
         with pytest.raises(ValueError) as factor:
             model_curvature(m)
         assert (type(factor.value), str(factor.value)) == (type(dense.value), str(dense.value)), order
+
+
+def _raises_the_grid_checks_bianchi_error(m):
+    """The factor proof, on both of its paths, and the dense check on the formed grid all
+    refuse the model's curvature for its first Bianchi identity."""
+    grid = model_curvature_einsum(m.p_frame, m.structure, m.killing)
+    message = "declared tag 'bianchi_closed' fails its projector check"
+    with pytest.raises(TagError, match=f"^{message}$"):
+        Curv4(make_space(m.d), grid, spaces.KAHLER_TAGS)
+    for path in (model_curvature, model_constants):
+        with pytest.raises(TagError, match=f"^{message}$"):
+            path(m)
+
+
+# two l-slices of C[p, p, l] whose exchange breaks Jacobi and the grid's Bianchi identity;
+# C stays integral, antisymmetric and J-invariant, as each slice is
+JACOBI_BREAKS = [
+    ("su_pq", (2, 1), 0, 2),
+    ("su_pq", (3, 2), 0, 1),
+    ("sp_p_R", (3,), 0, 3),
+    ("so_star_2p", (4,), 0, 4),
+]
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+@pytest.mark.parametrize("family,params,l1,l2", JACOBI_BREAKS)
+def test_an_integer_edit_that_breaks_jacobi_fails_the_certificate(monkeypatch, family, params, l1, l2, budget):
+    if budget is not None:  # one q and one l row per block
+        monkeypatch.setattr(spaces, "_BLOCK_BYTES", budget)
+    m = build_model(family, params)
+    C = m.structure.copy()
+    L = m.l_dim
+    block = C[L:, L:, :L]
+    block[:, :, [l1, l2]] = block[:, :, [l2, l1]]
+    edited = dataclasses.replace(m, structure=C)
+    assert liemodels._bianchi_certificate(m) and not liemodels._bianchi_certificate(edited)
+    _raises_the_grid_checks_bianchi_error(edited)
+
+
+def test_the_certificate_checks_jacobi_at_each_q_apart():
+    # one l, K = Id and C[p, p, l] = C[l, p, p] = a, the 5-cycle 2-form: K is ad-invariant and
+    # J(a, b, c, q) = a_ab a_cq + a_ca a_bq + a_bc a_aq is not 0 (a has rank 4), but a's rows
+    # sum to 0, so the sums of J over q all are; the certificate must not add across q
+    n = 5
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n], a[(i + 1) % n, i] = 1.0, -1.0
+    C = np.zeros((n + 1,) * 3)
+    C[1:, 1:, 0], C[0, 1:, 1:], C[1:, 0, 1:] = a, a, -a
+    model = SimpleNamespace(l_dim=1, structure=C, killing=np.eye(n + 1))
+    assert not liemodels._bianchi_certificate(model)
+    model.structure = np.zeros_like(C)
+    assert liemodels._bianchi_certificate(model)
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+def test_an_edit_that_breaks_only_jacobi_fails_the_certificate(monkeypatch, budget):
+    # su(3,2)'s K[p, p] is 20 Id, so C[l, p, p] = K[l, l] C[p, p, l]^T / 20 keeps K
+    # ad-invariant, in integers, after the exchange: only Jacobi fails
+    if budget is not None:
+        monkeypatch.setattr(spaces, "_BLOCK_BYTES", budget)
+    m = build_model("su_pq", (3, 2))
+    C = m.structure.copy()
+    L = m.l_dim
+    C[L:, L:, [0, 1]] = C[L:, L:, [1, 0]]
+    K = m.killing
+    assert np.array_equal(K[L:, L:], 20.0 * np.eye(m.dim - L))
+    C[:L, L:, L:] = np.einsum("lm,zwm->lzw", K[:L, :L], C[L:, L:, :L]) / 20.0
+    C[L:, :L, L:] = -np.einsum("lzw->zlw", C[:L, L:, L:])
+    assert np.array_equal(C, np.rint(C))
+    edited = dataclasses.replace(m, structure=C)
+    _raises_the_grid_checks_bianchi_error(edited)
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+@pytest.mark.parametrize("family,params", [row[:2] for row in JACOBI_BREAKS])
+def test_an_integer_edit_of_killing_that_breaks_invariance_fails_the_certificate(monkeypatch, family, params, budget):
+    if budget is not None:
+        monkeypatch.setattr(spaces, "_BLOCK_BYTES", budget)
+    m = build_model(family, params)
+    K = m.killing.copy()
+    K[0, 1] += 1.0  # symmetric, on K[l, l]
+    K[1, 0] += 1.0
+    edited = dataclasses.replace(m, killing=K)
+    assert not liemodels._bianchi_certificate(edited)
+    _raises_the_grid_checks_bianchi_error(edited)
+
+
+def test_the_certificate_is_sufficient_not_necessary():
+    # at su(2,1) K[l, l] treats l_0 and l_1 alike, so exchanging their slices leaves R,
+    # and its Bianchi identity, as they were; C no longer satisfies Jacobi, and the
+    # factor proof refuses what the grid check passes: stricter, never looser
+    m = build_model("su_pq", (2, 1))
+    C = m.structure.copy()
+    L = m.l_dim
+    C[L:, L:, [0, 1]] = C[L:, L:, [1, 0]]
+    edited = dataclasses.replace(m, structure=C)
+    Curv4(make_space(m.d), model_curvature_einsum(edited.p_frame, C, m.killing), spaces.KAHLER_TAGS)
+    with pytest.raises(TagError, match="bianchi_closed"):
+        model_curvature(edited)
+
+
+@pytest.mark.parametrize("family,params", PROVEN_ROWS)
+def test_bianchi_bound_covers_the_formed_grid_and_is_far_below_tol(family, params):
+    m = build_model(family, params)
+    rw = model_curvature(m)
+    L, n = m.l_dim, rw.space.n
+    frame = m.p_frame[:, L:].T
+    F = spaces.slot_contract(m.structure[L:, L:, :L], frame, frame).reshape(n * n, L)
+    K = m.killing[:L, :L]
+    k = max(np.max(np.sum(np.abs(K), axis=0)), np.max(np.sum(np.abs(K), axis=1)))
+    bound = liemodels._bianchi_bound(m, np.max(np.sum(np.abs(F), axis=1)), k, np.max(np.abs(F)))
+    assert np.max(np.abs(spaces.bianchi_grid(rw.entries))) <= bound <= 1e-3 * spaces.TOL
+
+
+@pytest.mark.parametrize("family,params", list(TABLE_ROWS) + [("su_pq", (5, 4))])
+def test_model_constants_match_the_grid_reductions(family, params):
+    m = build_model(family, params)
+    s, c0, kap = model_constants(m)
+    rw = model_curvature(m)
+    if m.flat:
+        assert (s, c0, kap) == (0.0, None, 0.0) and scalar_curvature(rw) == 0.0 and kappa(rw) == 0.0
+        return
+    for got, want in ((s, scalar_curvature(rw)), (c0, c0_prime(rw)), (kap, kappa(rw))):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(kap - kappa_four_gathers(rw.entries)) <= 1e-12 * abs(kap)
+
+
+@pytest.mark.parametrize("family,params", [("heisenberg", (2,)), ("su_pq", (3, 2))])
+def test_model_constants_prove_the_factor_once_and_form_no_grid(monkeypatch, family, params):
+    calls, prove = [], liemodels._prove_kahler_factor
+    monkeypatch.setattr(liemodels, "_prove_kahler_factor", lambda *a: calls.append(a) or prove(*a))
+    form = liemodels._proven_curv4
+
+    def formed(*args):
+        raise AssertionError("model_constants formed the curvature grid")
+
+    monkeypatch.setattr(liemodels, "_proven_curv4", formed)
+    m = build_model(family, params)
+    model_constants(m)
+    assert len(calls) == 1
+    monkeypatch.setattr(liemodels, "_proven_curv4", form)
+    model_curvature(m)  # from the same proven factor
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family,params", TABLE_ROWS)

@@ -20,8 +20,11 @@ from pherm.spaces import (
     Curv4,
     Endo2Forms,
     bianchi_grid,
+    kulkarni_grid,
+    ricci_grid,
     slot_contract,
     split_average_grid,
+    sym_product_grid,
 )
 from pherm import algebra, spaces
 from pherm.algebra import hat
@@ -31,10 +34,13 @@ from oracles import (
     bianchi_expr,
     bianchi_loops,
     bianchi_project_expr,
+    kulkarni_loops,
     pair_sym_expr,
     random_curv4_loop,
     rel_err,
+    ricci_loops,
     split_average_einsum,
+    sym_product_loops,
     unhat_loops,
 )
 
@@ -318,6 +324,20 @@ def test_bianchi_grid_matches_loop_oracle_property(d, seed):
     # the same three terms added in the same order: equal bit for bit
     q = np.random.default_rng(seed).standard_normal((2 * d,) * 4)
     assert np.array_equal(bianchi_grid(q), bianchi_loops(q))
+
+
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_sym_product_and_kulkarni_grids_match_loop_oracles_property(d, seed):
+    h, k = np.random.default_rng(seed).standard_normal((2, 2 * d, 2 * d))
+    bound = 1e-12 * max(1.0, np.max(np.abs(h)), np.max(np.abs(k)))
+    assert np.max(np.abs(sym_product_grid(h, k) - sym_product_loops(h, k))) <= bound
+    assert np.max(np.abs(kulkarni_grid(h, k) - kulkarni_loops(h, k))) <= bound
+
+
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_ricci_grid_matches_loop_oracle_property(d, seed):
+    q = np.random.default_rng(seed).standard_normal((2 * d,) * 4)
+    assert np.max(np.abs(ricci_grid(q) - ricci_loops(q))) <= 1e-12 * max(1.0, np.max(np.abs(q)))
 
 
 def _random_signed_permutation(rng, n):
