@@ -47,7 +47,7 @@ from .liemodels import (
 )
 from .maps import Q_VARIANTS, IdentityResult, canonical_Q, canonical_q_reference, check_suite, fold_residuals
 from .maps import identity_suite
-from .spaces import make_space
+from .spaces import check_seed, make_space
 
 SCHEMA_VERSION = "1"
 
@@ -92,8 +92,8 @@ class RunConfig:
             raise ValueError("the model command needs at least one --family/--params pair")
         if self.command == "model" and len(self.seeds) > 1:
             raise ValueError("the model command takes at most one --seed")
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError(f"--seed must be >= 0, got {min(self.seeds)}")
+        for seed in self.seeds:
+            check_seed(seed, "--seed")
         check_suite(self.trials, self.tolerance, *self.dims)
         check_sample_count(self.samples)
 

@@ -24,6 +24,7 @@ from .spaces import (
     Curv4,
     HorizontalSpace,
     TOL,
+    _Streams,
     _blocks,
     _check_curv4,
     _sample_curv4,
@@ -90,11 +91,6 @@ def _check_map_data(source, target, f, dphi, dphi_xi, nabla_sym, is_cr: bool) ->
             raise ValueError("is_cr datum is not conformal with factor f")
 
 
-def _normals(rngs, *shapes) -> list:
-    """For each shape in turn, one standard normal draw from each generator, stacked."""
-    return [np.stack([rng.standard_normal(shape) for rng in rngs]) for shape in shapes]
-
-
 def random_map_datum(source: HorizontalSpace, target: HorizontalSpace, seed) -> MapDatum:
     """Free horizontal map data (no CR constraint)."""
     dphi, v, m = _random_map_data(source, target, [seed])
@@ -102,9 +98,11 @@ def random_map_datum(source: HorizontalSpace, target: HorizontalSpace, seed) -> 
 
 
 def _random_map_data(source, target, seeds) -> tuple:
-    """Stacked, unchecked `random_map_datum` arrays, each from its own `default_rng(seed)`."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    dphi, v, m = _normals(rngs, (target.n, source.n), target.n, (source.n, source.n, target.n))
+    """Stacked, unchecked `random_map_datum` arrays, row r from the normals of
+    stream r of `_Streams(seeds)`: dphi, then dphi_xi, then nabla_sym before its
+    symmetrization, in one draw."""
+    shapes = (target.n, source.n), target.n, (source.n, source.n, target.n)
+    dphi, v, m = _Streams(seeds).normals(*shapes)
     return dphi, v, 0.5 * (m + m.transpose(0, 2, 1, 3))
 
 
@@ -126,14 +124,15 @@ def cr_map_datum(
 
 
 def _cr_map_data(source, target, f: np.ndarray, seeds) -> tuple:
-    """Stacked, unchecked `cr_map_datum` arrays for factors f, each from its own `default_rng(seed)`."""
+    """Stacked, unchecked `cr_map_datum` arrays for factors f, row r from the normals
+    of stream r of `_Streams(seeds)`: the real and imaginary parts of the unitary
+    twist's seed matrix, dphi_xi and nabla_sym before its projection, in one draw."""
     d, dp = source.d, target.d
     if dp < d:
         raise ValueError("target half-dimension must be at least the source one")
     if not np.all(f > 0):
         raise ValueError("the conformal factor must be positive")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    re, im, v, m = _normals(rngs, (d, d), (d, d), target.n, (source.n, source.n, target.n))
+    re, im, v, m = _Streams(seeds).normals((d, d), (d, d), target.n, (source.n, source.n, target.n))
     U, _ = np.linalg.qr(re + 1j * im)
     twist = np.block([[U.real, -U.imag], [U.imag, U.real]])  # J-commuting isometry
     embed = np.zeros((target.n, source.n))
@@ -294,15 +293,15 @@ class SuiteReport:
 _FIBER_DIM = 3
 
 
-def _seeds(rngs) -> np.ndarray:
-    """One rng.integers(2**32) draw per trial: the seed of its random grids."""
-    return np.array([rng.integers(2**32) for rng in rngs])
+def _seeds(rngs: _Streams) -> np.ndarray:
+    """One `integers(2**32)` draw per trial: the seed of its random grids."""
+    return rngs.integers(2**32)
 
 
-def _weights(source: HorizontalSpace, variants, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's canonical weight grid and its hat trace, picked by one rng.integers draw."""
+def _weights(source: HorizontalSpace, variants, rngs: _Streams) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's canonical weight grid and its hat trace, picked by one `integers` draw."""
     Qs = [canonical_Q(source, v) for v in variants]
-    pick = [int(rng.integers(len(variants))) for rng in rngs]
+    pick = rngs.integers(len(variants))
     return np.stack([Q.entries for Q in Qs])[pick], np.array([hat(Q).trace for Q in Qs])[pick]
 
 
@@ -320,7 +319,7 @@ def _resid_qform_traceless_reduction(rngs, source, target, broken):
         trq = np.trace(Q[_wedge_index(source)], axis1=-2, axis2=-1)
     else:
         Q, trq = _weights(source, ("jminus", "jplus_primitive"), rngs)
-    (m,) = _normals(rngs, (n, n, _FIBER_DIM))
+    (m,) = rngs.normals((n, n, _FIBER_DIM))
     m = 0.5 * (m + m.transpose(0, 2, 1, 3))
     delta = _delta(m)
     m0 = m + np.einsum("xy,...k->...xyk", source.g, delta) / d
@@ -341,9 +340,9 @@ def _resid_reeb_term(rngs, source, target, broken, plus: bool):
     variants = ("jplus_primitive", "tau_jplus_primitive") if plus else ("jminus", "tau_jminus")
     Q, trq = _weights(source, variants, rngs)
     T = bianchi_grid(Q) - Q
-    (v,) = _normals(rngs, _FIBER_DIM)
+    (v,) = rngs.normals(_FIBER_DIM)
     if broken:
-        (F,) = _normals(rngs, (source.n, source.n, _FIBER_DIM))
+        (F,) = rngs.normals((source.n, source.n, _FIBER_DIM))
         F = 0.5 * (F - F.transpose(0, 2, 1, 3))
     else:
         F = -np.einsum("xy,...k->...xyk", source.omega, v)
@@ -400,10 +399,10 @@ def _resid_jminus_torsion_contraction(rngs, source, target, broken):
 
 def _resid_cm_spaceform_orthogonality(rngs, source, target, broken):
     seeds = _seeds(rngs)
-    f = np.array([rng.uniform(0.5, 2.0) for rng in rngs])
+    f = rngs.uniform(0.5, 2.0)
     D, v, nabla = _cr_map_data(source, target, f, seeds)
     _check_map_data(source, target, f, D, v, nabla, True)
-    s, dp = np.array([rng.uniform(-4.0, -1.0) for rng in rngs]), target.d
+    s, dp = rngs.uniform(-4.0, -1.0), target.d
     # the grid of space_form(d', s), a multiple of the proven I^C of the target
     sf = (s / (dp * (dp + 1)))[:, None, None, None, None] * canonical_tensors(target).Ic.entries
     can = canonical_tensors(source)
@@ -413,10 +412,10 @@ def _resid_cm_spaceform_orthogonality(rngs, source, target, broken):
 
 def _resid_cr_structure(rngs, source, target, broken):
     seeds = _seeds(rngs)
-    f = np.array([rng.uniform(0.5, 2.0) for rng in rngs])
+    f = rngs.uniform(0.5, 2.0)
     D, v0, nabla = _cr_map_data(source, target, f, seeds)
     _check_map_data(source, target, f, D, v0, nabla, True)
-    v = v0 + (_normals(rngs, target.n)[0] if broken else 0.0)
+    v = v0 + (rngs.normals(target.n)[0] if broken else 0.0)
     Dt = np.swapaxes(D, -1, -2)
     pB_plus, _ = two_tensor_j_split(source, Dt @ target.B @ D, 1)
     # (nabla dphi)(X, Y) = (1/2)(nabla_sym - omega (x) dphi_xi); its skew part
@@ -473,8 +472,10 @@ def identity_suite(
     targets carry torsion as well so that pullback torsion terms are
     exercised.  With negative_control=True every identity is rerun with one
     admissibility constraint broken and is expected to fail its tolerance.
-    Trial t of identity i draws from `default_rng((seed, t, i))`; the trials
-    are evaluated in blocks on stacked grids, one residual per trial.
+    Trial t of identity i draws from its own stream, of seed (seed, t, i), so
+    its residual does not depend on its block or on the trial count; the trials
+    are evaluated in blocks on stacked grids, each block's streams one
+    `_Streams` drawn in lockstep, one residual per trial.
     """
     trials = check_suite(trials, tolerance, (d, d_prime))
     source = make_space(d, with_torsion=True)
@@ -485,7 +486,7 @@ def identity_suite(
     for ident_index, (name, fn, kw) in enumerate(_IDENTITIES):
         residuals = []
         for block in blocks:
-            rngs = [np.random.default_rng((seed, trial, ident_index)) for trial in block]
+            rngs = _Streams([(seed, trial, ident_index) for trial in block])
             residuals.extend(fn(rngs, source, target, negative_control, **kw))
         label = name + ("_negative_control" if negative_control else "")
         results.append(fold_residuals(label, residuals, tolerance))

@@ -1,4 +1,4 @@
-"""Adapted frames, tensor containers and seeded random generators.
+"""Adapted frames, tensor containers and seeded random streams and generators.
 
 Every tensor in this package is stored componentwise in a fixed adapted
 orthonormal frame (e_1, ..., e_d, Je_1, ..., Je_d) of the 2d-dimensional
@@ -19,6 +19,8 @@ leading axes (of size 1 to share it), its two slots, then any value axes.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 import string
 from dataclasses import dataclass
@@ -489,15 +491,127 @@ def complexify(space: HorizontalSpace) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# seeded random generators for property tests
+# seeded random streams and generators
 # ---------------------------------------------------------------------------
 
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2**64 over the golden ratio, made odd
+
+
+def check_seed(seed, name: str = "seed part") -> tuple[int, ...]:
+    """The parts of a seed as Python ints: an integer is one part, a tuple or list
+    of integers its parts in order.  ValueError, naming the part, for a part that
+    is a bool, not an integer, negative or at least 2**64, where it would alias
+    the stream of a smaller part; and for a seed without parts."""
+    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    if not parts:
+        raise ValueError(f"a seed needs at least one part, got {seed!r}")
+    values = []
+    for part in parts:
+        if isinstance(part, (bool, np.bool_)) or not hasattr(part, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {part!r}")
+        value = operator.index(part)
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+        if value >= 2**64:
+            raise ValueError(f"{name} must be < 2**64, got {value}")
+        values.append(value)
+    return tuple(values)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array (wrapping arithmetic)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+class _Streams:
+    """One counter-based random stream per seed, all advancing in lockstep; each
+    draw returns an array (len(seeds), *shape), row r from stream r.
+
+    A stream is a function of its seed alone (Salmon et al., SC 2011, on the
+    SplitMix64 mixer mix64 of Steele, Lea and Flood, OOPSLA 2014), with all
+    arithmetic modulo 2**64 and gamma = 0x9E3779B97F4A7C15:
+
+    - key = 0, then key = mix64(key + gamma + part) for each part of the seed;
+    - draw c (c = 0, 1, ...) = mix64(key + (c + 1) gamma);
+    - uniform u_c = (draw c >> 11) 2**-53, in [0, 1);
+    - normal j = sqrt(-2 ln(1 - u_2j)) cos(2 pi u_2j+1): each normal owns its two
+      draws, so k normals and then l more are the k + l normals of one draw;
+    - `integers(h)` = floor(u h) and `uniform(a, b)` = a + (b - a) u, one draw each.
+
+    The seeds of one `_Streams` have the same number of parts (`check_seed`)."""
+
+    def __init__(self, seeds):
+        parts = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
+        keys = np.zeros(len(parts), dtype=np.uint64)
+        for part in parts.T:
+            keys += _GAMMA
+            keys += part
+            _mix64(keys)
+        self._keys = keys[:, None]
+        self._count = 0  # draws taken from each stream
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def _take(self, k: int) -> int:
+        """Advance each stream by k draws; the index of the first."""
+        self._count += k
+        return self._count - k
+
+    def _next_uniform(self) -> np.ndarray:
+        """The next uniform of each stream, (len(self),)."""
+        z = _mix64(self._keys[:, 0] + ((self._take(1) + 1) * _GAMMA & (2**64 - 1)))
+        z >>= 11
+        return z * 2.0**-53
+
+    def normals(self, *shapes) -> list[np.ndarray]:
+        """For each shape in turn, standard normals (len(self), *shape), from one draw."""
+        shapes = [(s,) if isinstance(s, int) else tuple(s) for s in shapes]
+        sizes = [math.prod(s) for s in shapes]
+        k = sum(sizes)
+        first = self._take(2 * k)
+        # z[:, 0, j] and z[:, 1, j] are draws first + 2j and first + 2j + 1: one mixing
+        # pass over both, then contiguous halves for the two factors of normal j
+        z = np.empty((len(self), 2, k), dtype=np.uint64)
+        counters = np.arange(first + 1, first + 2 * k, 2, dtype=np.uint64)
+        counters *= _GAMMA
+        np.add(self._keys, counters, out=z[:, 0])
+        np.add(z[:, 0], _GAMMA, out=z[:, 1])
+        _mix64(z)
+        z >>= 11
+        minus_u = np.multiply(z, -(2.0**-53), out=z.view(np.float64))  # -u, exactly, over z
+        out, angle = minus_u[:, 0], minus_u[:, 1]
+        np.log1p(out, out=out)  # sqrt(-2 ln(1 - u_2j)) ...
+        out *= -2.0
+        np.sqrt(out, out=out)
+        angle *= -2.0 * np.pi  # ... times cos(2 pi u_2j+1); both signs flip exactly
+        out *= np.cos(angle, out=angle)
+        if len(shapes) == 1:
+            return [out.reshape(len(self), *shapes[0])]
+        cuts = list(itertools.accumulate(sizes[:-1]))
+        return [x.reshape(len(self), *s) for x, s in zip(np.split(out, cuts, axis=1), shapes)]
+
+    def integers(self, high: int) -> np.ndarray:
+        """One integer in [0, high) per stream, (len(self),)."""
+        return (self._next_uniform() * high).astype(np.int64)
+
+    def uniform(self, low: float, high: float) -> np.ndarray:
+        """One float in [low, high) per stream, (len(self),)."""
+        return low + (high - low) * self._next_uniform()
+
+
 def random_bil2(space: HorizontalSpace, symmetry: str, seed) -> Bil2:
-    """Deterministic random bilinear form with the requested symmetry."""
+    """Deterministic random bilinear form with the requested symmetry: the n^2
+    normals of the seed's `_Streams`, in row order, then (anti)symmetrized."""
     if symmetry not in SYMMETRIES:
         raise ValueError(f"unknown symmetry flag {symmetry!r}")
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((space.n, space.n))
+    (m,) = _Streams([seed]).normals((space.n, space.n))
+    m = m[0]
     if symmetry == "symmetric":
         m = 0.5 * (m + m.T)
     elif symmetry == "antisymmetric":
@@ -514,7 +628,7 @@ _CONTRADICTORY = [
 def random_curv4(space: HorizontalSpace, tags: Iterable[str], seed) -> Curv4:
     """Deterministic random 4-tensor projected onto the requested tag set.
 
-    A Gaussian draw, antisymmetrized in both slot pairs, passes once through
+    A Gaussian draw (the n^4 normals of the seed's `_Streams`), antisymmetrized in both slot pairs, passes once through
     the orthogonal projector of each requested tag, in `CURV4_TAGS` order;
     with j_plus requested the Bianchi step is `kahler_bianchi_grid`.  The
     pass is exact, i.e. it returns the orthogonal projection of the draw
@@ -530,8 +644,9 @@ def random_curv4(space: HorizontalSpace, tags: Iterable[str], seed) -> Curv4:
 
 
 def _sample_curv4(space: HorizontalSpace, tags: Iterable[str], seeds) -> np.ndarray:
-    """The `random_curv4` grid of each seed, from its own `default_rng(seed)`, stacked,
-    projected, scaled to max |q| = 1 and checked once, slice by slice, at 1e-10."""
+    """The `random_curv4` grid of each seed, row r the n^4 normals of stream r of
+    `_Streams(seeds)`, drawn in one call, projected as one stack, scaled to
+    max |q| = 1 and checked once, slice by slice, at 1e-10."""
     tags = _known_tags(tags)
     for clash in _CONTRADICTORY:
         if clash <= tags:
@@ -539,8 +654,8 @@ def _sample_curv4(space: HorizontalSpace, tags: Iterable[str], seeds) -> np.ndar
     if ("bianchi_closed" in tags or "primitive" in tags) and "pair_symmetric" not in tags:
         raise TagError("bianchi_closed/primitive projections require pair_symmetric")
 
-    draws = [np.random.default_rng(seed).standard_normal((space.n,) * 4) for seed in seeds]
-    q = antisym_pairs_grid(np.stack(draws))
+    (draws,) = _Streams(seeds).normals((space.n,) * 4)
+    q = antisym_pairs_grid(draws)
     for tag, project in _PROJECTORS.items():
         if tag in tags:
             kahler = tag == "bianchi_closed" and "j_plus" in tags

@@ -3,7 +3,55 @@
 Everything here is written with plain Python loops over frame indices and
 never calls into the package, so agreement with the library is meaningful.
 """
+import math
+
 import numpy as np
+
+GAMMA = 0x9E3779B97F4A7C15
+MASK = 2**64 - 1
+
+
+def mix64(z):
+    """SplitMix64's finalizer on a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+class ReferenceStream:
+    """The random stream of one seed as the README states it, one draw at a time
+    in Python ints and `math`: key = mix64(key + gamma + part) folded over the
+    seed's parts from 0, draw c = mix64(key + (c + 1) gamma), u = (draw >> 11)
+    2**-53, normal = sqrt(-2 ln(1 - u0)) cos(2 pi u1) from its own two draws.
+    Its methods return what the package's streams return for one seed: arrays
+    with a leading axis of length 1."""
+
+    def __init__(self, seed):
+        key = 0
+        for part in seed if isinstance(seed, tuple) else (seed,):
+            key = mix64((key + GAMMA + part) & MASK)
+        self.key, self.used = key, 0
+
+    def uniform_draw(self):
+        self.used += 1
+        return (mix64((self.key + self.used * GAMMA) & MASK) >> 11) * 2.0**-53
+
+    def normal_draw(self):
+        u0, u1 = self.uniform_draw(), self.uniform_draw()
+        return math.sqrt(-2.0 * math.log1p(-u0)) * math.cos(2.0 * math.pi * u1)
+
+    def normals(self, *shapes):
+        out = []
+        for shape in shapes:
+            shape = tuple(np.atleast_1d(shape))
+            out.append(np.array([self.normal_draw() for _ in range(math.prod(shape))]).reshape(1, *shape))
+        return out
+
+    def integers(self, high):
+        return np.array([math.floor(self.uniform_draw() * high)])
+
+    def uniform(self, low, high):
+        return np.array([low + (high - low) * self.uniform_draw()])
 
 
 def sym_product_loops(h, k):
@@ -194,7 +242,7 @@ def random_curv4_loop(d, tags, seed):
         "bianchi_closed": bianchi,
         "primitive": primitive,
     }
-    q = np.random.default_rng(seed).standard_normal((n,) * 4)
+    q = ReferenceStream(seed).normals((n,) * 4)[0][0]
     q = 0.5 * (q - q.transpose(1, 0, 2, 3))
     q = 0.5 * (q - q.transpose(0, 1, 3, 2))
     for _ in range(200):
@@ -257,28 +305,33 @@ def complex_sectional_einsum(q, Z, W):
     return complex_pairing_einsum(q, Z, W).real / float(gram_extended(Z, W))
 
 
-def sample_curvatures_loop(q, J, n, seed):
+def sample_curvatures_loop(q, J, n, seed, stream=None):
     """The (min, max) ranges of n sectional, holomorphic (X, JX) and complex
-    sectional planes, drawn one plane at a time from default_rng(seed) in
-    that order.  A plane whose Gram determinant is <= 1e-14 is dropped and
-    the next draw replaces it."""
-    rng = np.random.default_rng(seed)
+    sectional planes, drawn one plane at a time, in that order, from the
+    seed's `ReferenceStream` (or from `stream`, which serves `normals` as it
+    does).  A plane whose Gram determinant is <= 1e-14 is dropped and the
+    next draw replaces it."""
+    if stream is None:
+        stream = ReferenceStream(seed)
     dim = q.shape[0]
 
+    def normals():
+        return stream.normals(dim)[0][0]
+
     def sectional_plane():
-        X = rng.standard_normal(dim)
-        Y = rng.standard_normal(dim)
+        X = normals()
+        Y = normals()
         return X, Y, sectional_einsum
 
     def holomorphic_plane():
-        X = rng.standard_normal(dim)
+        X = normals()
         return X, J @ X, sectional_einsum
 
     def complex_plane():
-        Z = rng.standard_normal(dim)
-        Z = Z + 1j * rng.standard_normal(dim)
-        W = rng.standard_normal(dim)
-        W = W + 1j * rng.standard_normal(dim)
+        Z = normals()
+        Z = Z + 1j * normals()
+        W = normals()
+        W = W + 1j * normals()
         return Z, W, complex_sectional_einsum
 
     out = {}

@@ -415,6 +415,20 @@ def test_every_argument_is_decided_before_any_model_or_suite_is_built(monkeypatc
     assert out == "" and err == f"error: {message}\n"
 
 
+def test_verify_refuses_a_seed_of_2_to_the_64_and_takes_the_largest_below(monkeypatch, capsys):
+    # 2**64 would wrap onto the stream of seed 0, so it is refused before any suite runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a suite ran before the seed was decided")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "identity_suite", unreachable)
+        assert main(["verify", "--seed", str(2**64)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --seed must be < 2**64, got {2**64}\n"
+    assert main(["verify", "--seed", str(2**64 - 1), "--trials", "1", "--dims", "2,2"]) == 0
+    assert f"seed={2**64 - 1}]" in capsys.readouterr().out
+
+
 def test_table_lists_every_family_it_takes_when_it_refuses_one(capsys):
     assert main(["table", "--family", "su_pqr", "--params", "2,1"]) == 2
     out, err = capsys.readouterr()
@@ -470,6 +484,19 @@ def test_table_never_imports_numpy_random():
         "import sys\n"
         "from pherm.cli import main\n"
         "assert main(['table']) == 0\n"
+        "sys.exit('numpy.random' in sys.modules)\n"
+    )
+    child = run_python("-c", code)
+    assert child.returncode == 0, child.stderr
+
+
+def test_model_and_verify_never_import_numpy_random():
+    # the package's streams are its own: numpy.random would bring secrets, hashlib and libcrypto
+    code = (
+        "import sys\n"
+        "from pherm.cli import main\n"
+        "assert main(['model', '--samples', '10', '--family', 'su_pq', '--params', '2,1']) == 0\n"
+        "assert main(['verify', '--trials', '1']) == 0\n"
         "sys.exit('numpy.random' in sys.modules)\n"
     )
     child = run_python("-c", code)

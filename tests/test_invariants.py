@@ -319,9 +319,12 @@ def _assert_ranges_match(got, want):
         assert rel_err(got[name], want[name]) <= 1e-12, name
 
 
-# sample_curvatures draws its planes in blocks of 64; n = 63, 64, 65 and 200
-# cover a short block, one full block, a one-plane tail and several blocks
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+# sample_curvatures draws its planes in blocks of _BLOCK = 128; n = 127, 128, 129
+# and 300 cover a short block, one full block, a one-plane tail and several blocks
+_B = pherm.invariants._BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 2 * _B + 44])
 @pytest.mark.parametrize("torsion", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_sample_curvatures_match_loop_oracle(d, torsion, n):
@@ -343,18 +346,21 @@ def test_sampled_ranges_are_exact_at_d1(torsion, seed, n):
 
 
 class _FlatStream:
-    """A generator stand-in that serves one fixed flat stream, whatever
-    shape each call asks for."""
+    """A one-seed stream stand-in that serves one fixed flat stream of normals,
+    whatever shapes each call asks for."""
 
     def __init__(self, stream):
         self.stream, self.used = stream, 0
 
-    def standard_normal(self, size):
-        k = int(np.prod(size))
-        assert self.used + k <= self.stream.size, "stream exhausted"
-        out = self.stream[self.used : self.used + k].copy()
-        self.used += k
-        return out.reshape(size)
+    def normals(self, *shapes):
+        out = []
+        for shape in shapes:
+            shape = tuple(np.atleast_1d(shape))
+            k = int(np.prod(shape))
+            assert self.used + k <= self.stream.size, "stream exhausted"
+            out.append(self.stream[self.used : self.used + k].reshape(1, *shape))
+            self.used += k
+        return out
 
 
 def test_sample_curvatures_redraw_degenerate_planes(monkeypatch):
@@ -377,13 +383,14 @@ def test_sample_curvatures_redraw_degenerate_planes(monkeypatch):
         start += (n + len(bad)) * width
     streams = []
 
-    def flat_rng(seed=None):
+    def flat_streams(seeds):
+        assert len(seeds) == 1
         streams.append(_FlatStream(stream))
         return streams[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", flat_rng)
+    monkeypatch.setattr(pherm.invariants, "_Streams", flat_streams)
     got = sample_curvatures(q, n=n, seed=0)
-    want = sample_curvatures_loop(q.entries, sp.J, n, 0)
+    want = sample_curvatures_loop(q.entries, sp.J, n, 0, flat_streams([0]))
     _assert_ranges_match(got, want)
     # both consumed every degenerate plane and its replacement, nothing more
     assert [s.used for s in streams] == [start, start]

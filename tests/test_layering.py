@@ -544,3 +544,45 @@ def test_every_module_attribute_readme_cites_exists():
 def test_the_readme_citation_guard_reads_both_forms():
     text = "`spaces._blocks(count, unit)` and `pherm.maps.fold_residuals`, not `perfbench.run` or maps.py"
     assert readme_citations(text) == [("spaces", "_blocks"), ("maps", "fold_residuals")]
+
+
+def numpy_random_lines(tree: ast.AST) -> list[int]:
+    """Lines that reach numpy.random: `np.random` or `numpy.random` as an attribute,
+    `import numpy.random` or `from numpy.random import ...`, `from numpy import random`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            named = node.value.id if isinstance(node.value, ast.Name) else None
+            if named in ("np", "numpy"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.startswith("numpy.random") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names)
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_reaches_numpy_random(module):
+    # every draw goes through the counter-based `spaces._Streams`; importing numpy.random
+    # brings in secrets, hashlib and libcrypto, about 5 MiB and 11 ms of a run
+    lines = numpy_random_lines(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")))
+    assert lines == [], f"{module}: names numpy.random at lines {lines}"
+
+
+def test_the_numpy_random_guard_sees_each_spelling():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "rng = np.random.default_rng(0)\n"
+        "import numpy.random\n"
+        "from numpy.random import default_rng\n"
+        "from numpy import random\n"
+        "numpy.random.seed(1)\n"
+        "x = stream.random\n"
+        "import random\n"
+    )
+    assert numpy_random_lines(tree) == [2, 3, 4, 5, 6]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pherm import (
     MapDatum,
@@ -32,10 +33,11 @@ from pherm import (
 )
 from pherm import algebra, maps, spaces
 from pherm.maps import canonical_q_reference
-from pherm.spaces import KAHLER_TAGS, bianchi_grid, hat_2form_grid, inner2
+from pherm.spaces import KAHLER_TAGS, _Streams, bianchi_grid, hat_2form_grid, inner2
 
 from conftest import pair_split
 from oracles import (
+    ReferenceStream,
     curvature_terms_einsum,
     pullback4_einsum,
     q_curvature_einsum,
@@ -356,11 +358,11 @@ def test_reeb_term_broken_path_matches_loop_oracle(d, plus):
     variants = ["jplus_primitive", "tau_jplus_primitive"] if plus else ["jminus", "tau_jminus"]
     seen = set()
     for seed in range(6):
-        (got,) = maps._resid_reeb_term([np.random.default_rng(seed)], source, target, True, plus)
-        rng = np.random.default_rng(seed)  # the same draws, in the same order
-        variant = variants[int(rng.integers(2))]
-        v = rng.standard_normal(fiber)
-        F = rng.standard_normal((source.n, source.n, fiber))
+        (got,) = maps._resid_reeb_term(_Streams([seed]), source, target, True, plus)
+        rng = ReferenceStream(seed)  # the same draws, in the same order
+        variant = variants[int(rng.integers(2)[0])]
+        (v,) = rng.normals(fiber)[0]
+        (F,) = rng.normals((source.n, source.n, fiber))[0]
         F = 0.5 * (F - F.transpose(1, 0, 2))
         want = reeb_residual_loops(canonical_Q(source, variant).entries, F, v, plus)
         assert rel_err(got, want) <= 1e-12
@@ -474,12 +476,29 @@ def test_identity_block_gives_the_batch_of_one_residuals(name, fn, kw, broken):
     source, target = make_space(2, with_torsion=True), make_space(3, with_torsion=True)
 
     def rngs(trials):
-        return [np.random.default_rng((4, trial, 1)) for trial in trials]
+        return _Streams([(4, trial, 1) for trial in trials])
 
     block = fn(rngs(range(7)), source, target, broken, **kw)
     one_by_one = np.concatenate([fn(rngs([t]), source, target, broken, **kw) for t in range(7)])
     assert block.shape == (7,)
     assert np.all(np.abs(block - one_by_one) <= 1e-12 * np.maximum(1.0, np.abs(one_by_one)))
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 8), cuts=st.sets(st.integers(1, 7)))
+@pytest.mark.parametrize("broken", [False, True], ids=["admissible", "negative_control"])
+@pytest.mark.parametrize("name, fn, kw", maps._IDENTITIES, ids=[name for name, *_ in maps._IDENTITIES])
+def test_identity_residuals_do_not_depend_on_the_blocks(name, fn, kw, broken, seed, trials, cuts):
+    # trial t of identity i is a function of (seed, t, i) alone: any split of the
+    # trials into blocks gives the residuals of one block, bit for bit
+    source, target = make_space(2, with_torsion=True), make_space(3, with_torsion=True)
+
+    def block(a, b):
+        return fn(_Streams([(seed, t, 5) for t in range(a, b)]), source, target, broken, **kw)
+
+    bounds = [0, *sorted(c for c in cuts if c < trials), trials]
+    split = np.concatenate([block(a, b) for a, b in zip(bounds[:-1], bounds[1:])])
+    assert np.array_equal(split, block(0, trials))
 
 
 # identity_suite(6, 8, trials=30) raises ru_maxrss by about 11 MiB with one
@@ -549,7 +568,7 @@ def test_identity_suite_nan_residual_fails(monkeypatch):
     resids = iter([0.0, float("nan"), 0.0])  # the NaN is not the last trial
 
     def nan_identity(rngs, *args):  # one residual per trial of the block
-        return np.array([next(resids) for _ in rngs])
+        return np.array([next(resids) for _ in range(len(rngs))])
 
     monkeypatch.setattr(maps, "_IDENTITIES", (("nan_identity", nan_identity, {}),))
     (res,) = identity_suite(2, 2, trials=3).results
@@ -561,6 +580,5 @@ def test_cr_structure_residual_keeps_a_nan(monkeypatch):
     # a NaN in one of its terms, not the first, must reach the residual
     monkeypatch.setattr(maps, "two_tensor_j_split", lambda space, s, batch=0: (np.full_like(s, np.nan), s))
     source, target = make_space(2, with_torsion=True), make_space(3, with_torsion=True)
-    rngs = [np.random.default_rng(seed) for seed in range(3)]
-    resid = maps._resid_cr_structure(rngs, source, target, False)
+    resid = maps._resid_cr_structure(_Streams(range(3)), source, target, False)
     assert resid.shape == (3,) and np.isnan(resid).all()

@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,9 @@ from pherm.spaces import (
     Bil2,
     Curv4,
     Endo2Forms,
+    _Streams,
     bianchi_grid,
+    check_seed,
     kulkarni_grid,
     ricci_grid,
     slot_contract,
@@ -30,6 +34,7 @@ from pherm import algebra, spaces
 from pherm.algebra import hat
 
 from oracles import (
+    ReferenceStream,
     antisym_pairs_expr,
     bianchi_expr,
     bianchi_loops,
@@ -706,3 +711,106 @@ def test_violations_in_the_first_or_last_row_block_are_caught():
                 Curv4(sp, q + change, tags)
             assert str(err.value) == message
 
+
+
+# ---------------------------------------------------------------------------
+# the counter-based random streams (Hypothesis profile in conftest.py)
+# ---------------------------------------------------------------------------
+
+_PART = st.integers(0, 2**64 - 1)
+_SEED3 = st.tuples(_PART, _PART, _PART)  # the (seed, trial, identity) form of the suite
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7), (1, 2, 3), [0, 0]])
+def test_check_seed_takes_integer_parts_below_2_to_the_64(seed):
+    parts = check_seed(seed)
+    assert all(type(p) is int for p in parts)
+    assert parts == (tuple(map(int, seed)) if isinstance(seed, (tuple, list)) else (int(seed),))
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seed part must be an integer, got True"),
+        (np.True_, "seed part must be an integer, got np.True_"),
+        ((3, False), "seed part must be an integer, got False"),
+        (2.0, "seed part must be an integer, got 2.0"),
+        ("3", "seed part must be an integer, got '3'"),
+        (None, "seed part must be an integer, got None"),
+        (-1, "seed part must be >= 0, got -1"),
+        ((0, -5, 1), "seed part must be >= 0, got -5"),
+        (2**64, f"seed part must be < 2**64, got {2**64}"),
+        ((), "a seed needs at least one part, got ()"),
+    ],
+)
+def test_check_seed_names_the_part_it_refuses(seed, message):
+    # a part of 2**64 or more would alias the stream of a smaller one
+    with pytest.raises(ValueError) as err:
+        check_seed(seed)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _Streams([0, seed] if not isinstance(seed, tuple) else [seed])
+
+
+@given(seed=st.one_of(_PART, _SEED3), k=st.integers(0, 40), l=st.integers(0, 40))
+def test_normals_drawn_k_then_l_are_the_first_k_plus_l(seed, k, l):
+    apart = _Streams([seed])
+    got = np.concatenate([apart.normals(k)[0], *apart.normals(l, 1)], axis=1)
+    (want,) = _Streams([seed]).normals(k + l + 1)
+    assert np.array_equal(got, want)
+
+
+@given(seeds=st.lists(_SEED3, min_size=1, max_size=6))
+def test_each_row_of_a_batch_is_its_seeds_single_stream(seeds):
+    def draws(streams):
+        return (
+            streams.integers(5),
+            *streams.normals((2, 3), 4),
+            streams.uniform(-1.0, 2.0),
+            streams.integers(2**32),
+            *streams.normals(1),
+        )
+
+    batch = draws(_Streams(seeds))
+    for row, seed in enumerate(seeds):
+        for got, want in zip(batch, draws(_Streams([seed]))):
+            assert np.array_equal(got[row], want[0])
+
+
+@given(seed=st.one_of(_PART, _SEED3))
+def test_streams_follow_the_stated_definition(seed):
+    # bit for bit on every integer step; math's log1p and cos may differ from numpy's by an ulp
+    reference, streams = ReferenceStream(seed), _Streams([seed])
+    assert np.array_equal(streams.integers(2**32), reference.integers(2**32))
+    assert np.array_equal(streams.uniform(0.5, 2.0), reference.uniform(0.5, 2.0))
+    got, want = streams.normals(50)[0], reference.normals(50)[0]
+    assert np.max(np.abs(got - want)) <= 4e-15
+    assert np.array_equal(streams.integers(3), reference.integers(3))  # both used 103 draws
+
+
+_N_STAT = 200_000
+
+
+def _normal_cdf(x):
+    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_normals_are_standard_normal(seed):
+    # each check is a fixed-seed test at about the 1 % level, so a correct stream fails
+    # it at about one seed in a hundred (4 of 400 fresh seeds for the KS distance)
+    (x,) = _Streams([seed]).normals(_N_STAT)[0]
+    n = x.size
+    assert abs(x.mean()) < 5 / math.sqrt(n)
+    assert abs(x.var() - 1.0) < 5 * math.sqrt(2 / n)
+    # Kolmogorov-Smirnov distance to the normal CDF, below its 1 % critical value
+    cdf = _normal_cdf(np.sort(x))
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert ks < 1.628 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("s", [0, 1, 12345, 2**64 - 1])
+def test_neighbouring_trial_streams_are_uncorrelated(s):
+    # trial streams (s, 0, 0) and (s, 1, 0) share the seed and the identity
+    x, y = _Streams([(s, 0, 0), (s, 1, 0)]).normals(_N_STAT)[0]
+    assert abs(np.corrcoef(x, y)[0, 1]) < 5 / math.sqrt(_N_STAT)
