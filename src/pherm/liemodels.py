@@ -28,7 +28,6 @@ from .spaces import (
     _judge_curv4,
     _proven_curv4,
     make_space,
-    slot_contract,
 )
 from .algebra import norm2
 from .invariants import scalar_curvature
@@ -39,29 +38,28 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LieModel:
-    """A symmetric-pair matrix model with adapted horizontal frame.
+    """A symmetric-pair model with adapted horizontal frame, in the coordinates of the
+    family's basis of N matrices (the matrices themselves are not kept).
 
-    basis holds the matrix realization; structure and killing are the
-    structure constants and adjoint trace form in that basis.  xi_star is
-    the normalized center element of the +1 part (coords in the basis) and
-    p_frame the adapted beta-orthonormal frame of the -1 part, rows ordered
-    (e_1..e_d, Je_1..Je_d), expressed in basis coordinates.
+    structure holds the structure constants as `_Triples`, the nonzeros of C, and killing
+    the adjoint trace form, both exact integers.  xi_star is the normalized center
+    element of the +1 part and p_frame the adapted beta-orthonormal frame of the -1 part,
+    rows ordered (e_1..e_d, Je_1..Je_d), both in basis coordinates.
     """
 
     family: str
     params: tuple
     d: int
     flat: bool
-    basis: np.ndarray  # (N, m, m) matrix realization
     l_dim: int  # first l_dim basis elements span the +1 part
-    structure: np.ndarray  # (N, N, N)
+    structure: _Triples  # C's nonzeros
     killing: np.ndarray  # (N, N)
     xi_star: np.ndarray  # (N,)
     p_frame: np.ndarray  # (2d, N)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.killing.shape[0]
 
     @cached_property
     def _factor(self) -> _KahlerFactor:
@@ -70,9 +68,13 @@ class LieModel:
         Heisenberg center), so only C[p, p, l] and K[l, l] count; the Heisenberg algebra is
         nilpotent, so its K[l, l] = 0 and its R is exactly +0.0."""
         space = make_space(self.d)
-        L = self.l_dim
-        frame = self.p_frame[:, L:].T
-        W = slot_contract(self.structure[L:, L:, :L], frame, frame)
+        L, n = self.l_dim, 2 * self.d
+        F = self.p_frame[:, L:]  # row x: frame vector x in p's basis
+        a, b, l, v = _entries(self.structure, L, "ppl")
+        A = np.zeros((n, n, L))  # C[p, p, l]
+        A[a, b, l] = v
+        A = np.matmul(F, A)  # sum_b F[y, b] C[a, b, l], then sum_a F[x, a]: BLAS products
+        W = (F @ A.reshape(n, n * L)).reshape(n, n, L)
         K = self.killing[:L, :L]  # the last slot pair lowered with the metric
         _prove_kahler_factor(self, space, W, K)
         return _KahlerFactor(space, W, K)
@@ -181,10 +183,11 @@ class _Family:
     """Everything the package knows about one family.
 
     param_names and min_param give the admissible parameters; basis builds
-    the (l, p) matrices and half_dim the horizontal half-dimension from
-    them.  c0_prime is the closed-form c0' and dual_coxeter the dual Coxeter
-    number h, with kappa = -1/h for the Killing metric.  Out-of-scope rows
-    have no basis and constants that ignore the parameters.
+    the lists of l and p matrices, whose structure constants `build_model`
+    finds, and half_dim gives the horizontal half-dimension.  c0_prime is
+    the closed-form c0' and dual_coxeter the dual Coxeter number h, with
+    kappa = -1/h for the Killing metric.  Out-of-scope rows have no basis
+    and constants that ignore the parameters.
     """
 
     param_names: tuple = ()
@@ -260,43 +263,96 @@ def closed_form_constants(family: str, params: Sequence[int]) -> tuple[float, fl
     return fam.c0_prime(*params), -1.0 / fam.dual_coxeter(*params)
 
 
-def _structure_constants(mats: np.ndarray) -> np.ndarray:
-    """C[i, j, k] with [b_i, b_j] = sum_k C[i, j, k] b_k for the (N, m, m) basis b,
-    one bracket row i < j at a time (at most 0.86 MiB, at su(8,5)), its coordinates
-    rounded to integers in place and filled in antisymmetrically.  Basis and constants
-    are small integers, so each row must rebuild its brackets exactly and K = sum C C is exact."""
-    N = mats.shape[0]
-    flat = mats.reshape(N, -1)  # (N, m^2)
-    pinv = np.linalg.pinv(flat.T)
-    C = np.zeros((N, N, N))
-    for i in range(N - 1):
-        half = (mats[i] @ mats[i + 1 :] - mats[i + 1 :] @ mats[i]).reshape(N - 1 - i, -1)
-        coords = half @ pinv.T
-        np.rint(coords, out=coords)
-        recon = coords @ flat
-        recon -= half
-        _gate("brackets do not close on the chosen basis: max |residual|", np.max(np.abs(recon, out=recon)), 0.0)
-        C[i, i + 1 :] = coords
-        C[i + 1 :, i] = np.negative(coords, out=coords)
-    return C
+class _Triples(NamedTuple):
+    """Structure constants C[i, j, k], [b_i, b_j] = sum_k C[i, j, k] b_k on a basis of dim elements,
+    as their nonzeros C[i[t], j[t], k[t]] = v[t] in (i, j, k) order, both orders of each bracket."""
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    dim: int
+
+
+def _join(left: np.ndarray, right: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (s, t) with left[s] == right[t], for keys in range(size): s ascending and,
+    for each s, t ascending, by a count and a cumulative sum over the keys."""
+    count = np.bincount(right, minlength=size)
+    rep = count[left]  # the partners of each left entry
+    end = rep.cumsum()
+    # right's entries with key x are order[first[x] + range(count[x])] in the stable order
+    t = ((count.cumsum() - count)[left] + rep - end).repeat(rep) + np.arange(end[-1] if len(end) else 0)
+    return np.arange(len(left)).repeat(rep), right.argsort(kind="stable")[t]
+
+
+def _sum_by(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of the values of each."""
+    order = np.argsort(key)
+    key = key[order]
+    first = np.concatenate(([True], key[1:] != key[:-1]))[: len(key)]  # where each key starts
+    return key[first], np.bincount(np.cumsum(first) - 1, weights=value[order])
+
+
+def _structure_constants(mats: np.ndarray) -> _Triples:
+    """C of the (N, m, m) basis b from b's nonzeros: b_i b_j joins b_i's entries (r, s) with b_j's
+    (s, c) on s, and a bracket's coordinates are its products with b times the inverse of the
+    Gram matrix G = flat flat^T, rounded.  Every bracket must rebuild exactly from them: basis and
+    constants are small integers, so that check and K = sum C C are exact."""
+    N, m = mats.shape[0], mats.shape[1]
+    b, r, c = np.nonzero(mats)
+    x = mats[b, r, c]
+    e = r * m + c  # an entry's place in the flattened matrix
+    s, t = _join(c, r, m)  # b_i[r, s] b_j[s, c]: term b[s] b[t] of [b_lo, b_hi], signed by the order
+    sign = np.sign(b[t] - b[s])
+    pair = np.minimum(b[s], b[t]) * N + np.maximum(b[s], b[t])
+    key, val = _sum_by((pair * m + r[s]) * m + c[t], sign * x[s] * x[t])
+    key, val = key[val != 0], val[val != 0]  # the brackets' nonzeros, (pair, e) = divmod(key, m^2)
+    pair, be = np.divmod(key, m * m)
+
+    gs, gt = _join(e, e, m * m)
+    G = np.bincount(b[gs] * N + b[gt], weights=x[gs] * x[gt], minlength=N * N).reshape(N, N)
+    cpl = np.flatnonzero(np.count_nonzero(G, axis=1) > 1)  # G is diagonal but for su's Cartan chain
+    Ginv = np.diag(1.0 / np.diag(G))
+    Ginv[cpl[:, None], cpl] = np.linalg.inv(G[cpl[:, None], cpl])
+    gr, gc = np.nonzero(Ginv)
+
+    ys, yt = _join(be, e, m * m)  # the terms of <[b_lo, b_hi], b_k'>, times Ginv[k', k]
+    cs, ct = _join(b[yt], gr, N)
+    ckey, coords = _sum_by(pair[ys[cs]] * N + gc[ct], val[ys[cs]] * x[yt[cs]] * Ginv[gr[ct], gc[ct]])
+    np.rint(coords, out=coords)
+    ckey, coords = ckey[coords != 0], coords[coords != 0]
+
+    rs, rt = _join(ckey % N, b, N)  # rebuild each bracket from its coordinates
+    recon = (ckey[rs] // N * m + r[rt]) * m + c[rt]
+    _, resid = _sum_by(np.concatenate((recon, key)), np.concatenate((coords[rs] * x[rt], -val)))
+    _gate("brackets do not close on the chosen basis: max |residual|", np.max(np.abs(resid), initial=0.0), 0.0)
+
+    lo, hi, k = np.unravel_index(ckey, (N, N, N))  # both orders of each bracket, sorted
+    i, j, k, v = (np.concatenate(z) for z in ((lo, hi), (hi, lo), (k, k), (coords, -coords)))
+    order = np.argsort((i * N + j) * N + k)
+    return _Triples(i[order], j[order], k[order], v[order], N)
 
 
 def _gate(what: str, value: float, bound: float) -> None:
-    """Raise a ModelError naming what was measured, its value and its bound when value > bound."""
-    if value > bound:
+    """Raise a ModelError naming what was measured, its value and its bound unless value <= bound."""
+    if not value <= bound:
         raise ModelError(f"{what} {value:.1e} > {bound:.0e}")
 
 
-def _killing_form(C: np.ndarray) -> np.ndarray:
-    """K[i, j] = tr(ad b_i ad b_j) = sum_ab C[i, b, a] C[j, a, b], summed over the
-    `_blocks` of a as C[:, :, a] @ C[:, a, :]^T: each block copies C[:, :, a] once
-    and reads C[:, a, :] as a view."""
-    N = C.shape[0]
-    K = np.zeros((N, N))
-    for run in _blocks(N, N * N * C.itemsize):
-        # rows i, columns (a, b): C[i, b, a] against C[j, a, b]
-        K += C[:, :, run].transpose(0, 2, 1).reshape(N, -1) @ C[:, run, :].reshape(N, -1).T
-    return K
+def _killing_form(C: _Triples) -> np.ndarray:
+    """K[i, j] = tr(ad b_i ad b_j) = sum_ab C[i, b, a] C[j, a, b]: C's entries (i, b, a)
+    joined with its entries (j, a, b) on (a, b).  C's entries are integers, so K is exact."""
+    N = C.dim
+    s, t = _join(C.j * N + C.k, C.k * N + C.j, N * N)
+    return np.bincount(C.i[s] * N + C.i[t], weights=C.v[s] * C.v[t], minlength=N * N).reshape(N, N)
+
+
+def _entries(C: _Triples, L: int, block: str) -> tuple[np.ndarray, ...]:
+    """C's entries (i, j, k, v) in the block, an 'l' or a 'p' per slot, where l is the first L
+    basis elements and p the rest, with p's indices counted from 0."""
+    p = [g == "p" for g in block]
+    keep = ((C.i >= L) == p[0]) & ((C.j >= L) == p[1]) & ((C.k >= L) == p[2])
+    return C.i[keep] - L * p[0], C.j[keep] - L * p[1], C.k[keep] - L * p[2], C.v[keep]
 
 
 def build_model(family: str, params: Sequence[int]) -> LieModel:
@@ -320,16 +376,12 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     K = _killing_form(C)
 
     if family == "heisenberg":  # xi is the center z, the frame the p basis (x_1..x_d, y_1..y_d)
-        return LieModel(family, params, d, True, mats, L, C, K, np.eye(1, L + P)[0], np.eye(P, L + P, L))
+        return LieModel(family, params, d, True, L, C, K, np.eye(1, L + P)[0], np.eye(P, L + P, L))
 
     # bracket closure of the symmetric pair, exact as C is; l is the first L basis
-    # elements and p the rest, so each block is a basic slice (a view)
-    for what, block in (
-        ("[l, l] leaves l", C[:L, :L, L:]),
-        ("[l, p] leaves p", C[:L, L:, :L]),
-        ("[p, p] leaves l", C[L:, L:, L:]),
-    ):
-        _gate(f"{what}: max |C|", np.max(np.abs(block)), 0.0)
+    # elements and p the rest
+    for what, block in (("[l, l] leaves l", "llp"), ("[l, p] leaves p", "lpl"), ("[p, p] leaves l", "ppp")):
+        _gate(f"{what}: max |C|", np.max(np.abs(_entries(C, L, block)[3]), initial=0.0), 0.0)
 
     # definiteness of the Killing form on both parts
     ev_l = np.linalg.eigvalsh(K[:L, :L])  # K is an exact integer matrix, so exactly symmetric
@@ -340,10 +392,13 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
             f"Killing form is not positive definite on p: min eigenvalue {ev_p.min():.1e} < 1e-09"
         )
 
-    # center of l: coefficients z with [z, l] = 0
-    sysmat = C[:L, :L].reshape(L, -1).T  # rows (j, k), cols i
-    # sysmat = QR with R of shape (L, L), as sysmat has L^2 >= L rows; R has
-    # the same singular values and right singular vectors, without the (L^2, L) factor
+    # center of l: coefficients z with [z, l] = 0, a row per nonzero (j, k) of C[l, l, :], L at least
+    ll = (C.i < L) & (C.j < L)
+    key = C.j[ll] * C.dim + C.k[ll]
+    row = np.cumsum(np.bincount(key, minlength=L * C.dim) > 0) - 1  # the row of each key that occurs
+    sysmat = np.zeros((max(row[-1] + 1, L), L))
+    sysmat[row[key], C.i[ll]] = C.v[ll]
+    # sysmat = QR: R (L x L) has the same singular values and right singular vectors
     _, sv, vt = np.linalg.svd(np.linalg.qr(sysmat, mode="r"), full_matrices=False)
     null_bound = 1e-9 * max(1.0, sv[0])
     null_dim = int(np.sum(sv < null_bound))
@@ -355,8 +410,12 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     z = vt[-1]
     if z[np.argmax(np.abs(z))] < 0:
         z = -z  # deterministic orientation
+    # the center has exact zeros off its support; rounding noise there would fill the frame
+    # in, and sums over a dense frame round differently under another BLAS thread count
+    z[np.abs(z) < 1e-12 * np.max(np.abs(z))] = 0.0
 
-    S = np.einsum("i,iba->ab", z, C[:L, L:, L:])  # ad z on p, acting on coordinates
+    i, b, a, v = _entries(C, L, "lpp")
+    S = np.bincount(a * P + b, weights=z[i] * v, minlength=P * P).reshape(P, P)  # ad z on p, on coordinates
     S2 = S @ S
     c2 = -np.trace(S2) / P
     resid = np.max(np.abs(S2 + c2 * np.eye(P)))
@@ -368,9 +427,7 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     scale = 1.0 / np.sqrt(c2)
     xi = np.zeros(L + P)
     xi[:L] = scale * z
-    # complex structure on p in basis coordinates; C order (S is F-order), so
-    # the frame's products round as they did on a copied block
-    Jp = np.multiply(scale, S, order="C")
+    Jp = scale * S  # complex structure on p in basis coordinates
 
     # adapted frame, orthonormal for beta restricted to p
     G = K[L:, L:]
@@ -399,7 +456,7 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     frame = np.zeros((P, L + P))
     frame[:, L:] = frame_p
 
-    return LieModel(family, params, d, False, mats, L, C, K, xi, frame)
+    return LieModel(family, params, d, False, L, C, K, xi, frame)
 
 
 class _KahlerFactor(NamedTuple):
@@ -479,20 +536,22 @@ def _prove_kahler_factor(model: LieModel, space: HorizontalSpace, W: np.ndarray,
     n, L = W.shape[1], W.shape[2]
     scale = 1.0 if np.all(np.isfinite(W)) and np.all(np.isfinite(K)) else np.nan
     F = W.reshape(n * n, L)
-    m = np.max(np.abs(F))
+    m = max(F.max(), -F.min())  # max |F|, without a copy of F
     k = max(np.max(np.sum(np.abs(K), axis=0)), np.max(np.sum(np.abs(K), axis=1)))
 
-    def rows1(X):
-        return np.max(np.sum(np.abs(X.reshape(-1, X.shape[-1])), axis=1))
+    def rows1(X):  # a `_blocks` run of rows at a time, as the largest W-sized operand is W
+        X = X.reshape(-1, X.shape[-1])
+        return max(np.max(np.sum(np.abs(X[run]), axis=1)) for run in _blocks(len(X), X[0].nbytes))
+
+    def runs_of_w(residual):  # the largest row sum of |residual(rows of W's first slot)|
+        return max(rows1(residual(run)) for run in _blocks(n, W[0].nbytes))
 
     def antisym():
-        fs = W + np.einsum("bal->abl", W)
-        fs *= 0.5
-        return 2.0 * rows1(fs) * k * m
+        return 2.0 * runs_of_w(lambda run: 0.5 * (W[run] + W[:, run].transpose(1, 0, 2))) * k * m
 
     def factor_residual(tag):
         if tag == "j_plus":
-            return rows1(W - _conjugate(W, space.J_pair, -3)) * k * m
+            return runs_of_w(lambda run: W[run] - _conjugate(W, space.J_pair, -3, run)) * k * m
         if tag == "pair_symmetric":
             return 0.5 * rows1(F) * rows1(K - K.T) * m
         return _bianchi_bound(model, rows1(F), k, m)  # bianchi_closed
@@ -507,7 +566,9 @@ def _bianchi_bound(model: LieModel, f_r: float, k: float, m: float) -> float:
         return np.inf
     n, L = 2 * model.d, model.l_dim
     f = np.abs(model.p_frame[:, L:])  # (n, n): frame vector x in p's basis
-    w = _gamma(2 * n) * np.max(f @ np.sum(np.abs(model.structure[L:, L:, :L]), axis=2) @ f.T)
+    a, b, _, v = _entries(model.structure, L, "ppl")
+    S = np.bincount(a * n + b, weights=np.abs(v), minlength=n * n).reshape(n, n)  # sum_l |C[a, b, l]|
+    w = _gamma(2 * n) * np.max(f @ S @ f.T)
     return 3.0 * (2.0 * w * k * (m + w) + _gamma(2 * L) * f_r * k * m)
 
 
@@ -520,38 +581,32 @@ def _bianchi_certificate(model: LieModel) -> bool:
     (a) C satisfies Jacobi on p^3 through l: J(a, b, c, q) = T(a, b, c, q) + T(c, a, b, q)
         + T(b, c, a, q) = 0 for all a, b, c, q in p, so b(R)(x, y, z, w) = sum_q J(x, y, z, q) K[q, w] = 0.
     `build_model`'s C and K hold integers, so every sum here is exact in float64 and both
-    checks are equalities.  (b) is taken in `_blocks` of l rows.  (a) joins the nonzeros of
-    C[p, p, l] (ordered by l) with those of C[l, p, p] (ordered by q) on l, by a count and a
-    cumulative sum, so its terms come ordered by q.  J is cyclic in (a, b, c) and is the sum of
-    the terms over the three rotations, so each term is added once, at the smallest of the
-    three keys, into one buffer over a `_blocks` run of q."""
-    L, C = model.l_dim, model.structure
-    A, B = C[L:, L:, :L], C[:L, L:, L:]  # [p, p] -> l and [l, p] -> p, views
-    Kl, Kp = model.killing[:L, :L], model.killing[L:, L:]
-    n = A.shape[0]
-    for run in _blocks(L, n * n * A.itemsize):  # (b): [z, w, l] on both sides
-        if not np.array_equal(A @ Kl[run].T, (B[run] @ Kp).transpose(1, 2, 0)):
-            return False
+    checks are equalities.  (b) joins C's entries with K's nonzeros and sums the two sides'
+    terms into one (L, n, n) array.  (a) joins the nonzeros of C[l, p, p] with those of
+    C[p, p, l] on l, in `_blocks` of q.  J is cyclic in (a, b, c) and is the sum of the terms
+    over the three rotations, so each term is summed at the smallest of the three keys."""
+    L, C, K = model.l_dim, model.structure, model.killing
+    n = C.dim - L
+    a, b, la, va = _entries(C, L, "ppl")  # [p, p] -> l
+    lb, c, qb, vb = _entries(C, L, "lpp")  # [l, p] -> p
+    kl, kr = np.nonzero(K[:L, :L])
+    s, t = _join(la, kr, L)  # sum_l K[l', l] C[z, w, l]
+    kq, kw = np.nonzero(K[L:, L:])
+    u, w = _join(qb, kq, n)  # sum_q C[l', z, q] K[q, w]
+    key = np.concatenate(((kl[t] * n + a[s]) * n + b[s], (lb[u] * n + c[u]) * n + kw[w]))
+    value = np.concatenate((va[s] * K[kl[t], kr[t]], -vb[u] * K[L + kq[w], L + kw[w]]))
+    if np.any(np.bincount(key, weights=value, minlength=L * n * n)):  # (L, n, n), as large as W
+        return False
 
-    la, a, b = np.nonzero(A.transpose(2, 0, 1))
-    va = A[a, b, la]
-    count = np.bincount(la, minlength=L)
-    first = np.cumsum(count) - count  # A's nonzeros with l = j are first[j] + range(count[j])
-    qb, lb, c = np.nonzero(B.transpose(2, 0, 1))
-    vb = B[lb, c, qb]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(qb, minlength=n))))  # of each q among them
-    runs = _blocks(n, n**3 * A.itemsize)
-    buf = np.zeros(len(range(n)[runs[0]]) * n**3)
-    for run in runs:
+    per_q = np.bincount(qb, weights=np.bincount(la, minlength=L)[lb], minlength=n)  # terms of each q
+    for run in _blocks(n, 8 * int(per_q.max(initial=0))):
         q0, q1, _ = run.indices(n)
-        j = slice(starts[q0], starts[q1])
-        rep = count[lb[j]]  # the terms of each of B's nonzeros in the run
-        t = np.repeat(first[lb[j]] - (np.cumsum(rep) - rep), rep) + np.arange(rep.sum())  # their A nonzeros
-        x, y, z = a[t], b[t], np.repeat(c[j], rep)
+        j = (qb >= q0) & (qb < q1)
+        s, t = _join(lb[j], la, L)
+        x, y, z = a[t], b[t], c[j][s]
         key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x), (z * n + x) * n + y)
-        key += np.repeat(qb[j] - q0, rep) * n**3
-        np.add.at(buf, key, va[t] * np.repeat(vb[j], rep))
-        if np.any(buf[key]):  # else every entry it touched is 0 again, ready for the next run
+        key += qb[j][s] * n**3
+        if np.any(_sum_by(key, va[t] * vb[j][s])[1]):
             return False
     return True
 

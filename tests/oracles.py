@@ -1,7 +1,9 @@
 """Independent brute-force implementations used as oracles in the tests.
 
 Everything here is written with plain Python loops over frame indices and
-never calls into the package, so agreement with the library is meaningful.
+never calls into the package, so agreement with the library is meaningful;
+only `structure_triples` builds the package's record of structure constants,
+to hand an edited dense C back to it.
 """
 import math
 
@@ -360,6 +362,40 @@ def structure_constants_einsum(mats):
     C = np.einsum("ka,ija->ijk", pinv, brackets.reshape(N, N, -1))
     ads = np.einsum("ijk->ikj", C)
     return C, np.einsum("iab,jba->ij", ads, ads)
+
+
+def structure_constants_dense(mats):
+    """The dense (N, N, N) structure constants of an (N, m, m) basis, one bracket row
+    i < j at a time through the pseudo-inverse of the flattened basis, rounded to
+    integers and filled in antisymmetrically; ValueError unless every row rebuilds
+    its brackets exactly."""
+    N = mats.shape[0]
+    flat = mats.reshape(N, -1)
+    pinv = np.linalg.pinv(flat.T)
+    C = np.zeros((N, N, N))
+    for i in range(N - 1):
+        half = (mats[i] @ mats[i + 1 :] - mats[i + 1 :] @ mats[i]).reshape(N - 1 - i, -1)
+        coords = np.rint(half @ pinv.T)
+        if np.any(coords @ flat != half):
+            raise ValueError(f"the brackets of row {i} do not close on the basis")
+        C[i, i + 1 :] = coords
+        C[i + 1 :, i] = -coords
+    return C
+
+
+def dense_structure(C):
+    """The dense (N, N, N) array of structure-constant triples (a model's `structure`)."""
+    out = np.zeros((C.dim,) * 3)
+    out[C.i, C.j, C.k] = C.v
+    return out
+
+
+def structure_triples(C):
+    """The package's triples of a dense (N, N, N) C, such as an edited `dense_structure`."""
+    from pherm.liemodels import _Triples
+
+    i, j, k = np.nonzero(C)
+    return _Triples(i, j, k, C[i, j, k], C.shape[0])
 
 
 def structure_constants_loops(mats):

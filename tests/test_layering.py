@@ -586,3 +586,35 @@ def test_the_numpy_random_guard_sees_each_spelling():
         "import random\n"
     )
     assert numpy_random_lines(tree) == [2, 3, 4, 5, 6]
+
+
+def pinv_lines(tree: ast.AST) -> list[int]:
+    """Lines that name a pseudo-inverse: `pinv` as an attribute (`np.linalg.pinv`,
+    `linalg.pinv`) or a bare name (`from numpy.linalg import pinv`)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "pinv")
+        or (isinstance(node, ast.Name) and node.id == "pinv")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "pinv" for alias in node.names))
+    )
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_takes_a_pseudo_inverse(module):
+    # structure constants come from the sparse basis and the inverse of its Gram matrix;
+    # the dense pseudo-inverse path (N^3 constants, 2.5 s at su(10,8)) is a test oracle only
+    lines = pinv_lines(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")))
+    assert lines == [], f"{module}: names pinv at lines {lines}"
+
+
+def test_the_pseudo_inverse_guard_sees_each_spelling():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "a = np.linalg.pinv(m)\n"
+        "from numpy.linalg import pinv\n"
+        "b = pinv(m)\n"
+        "c = np.linalg.inv(m)\n"
+        "pinvert = 1\n"
+    )
+    assert pinv_lines(tree) == [2, 3, 4]

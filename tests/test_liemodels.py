@@ -41,14 +41,17 @@ from pherm.invariants import invariants
 from conftest import load_workloads
 from oracles import (
     adapted_frame_loop,
+    dense_structure,
     holonomy_commutant_kron,
     kappa_dense,
     kappa_four_gathers,
     killing_form_einsum,
     model_curvature_einsum,
     rel_err,
+    structure_constants_dense,
     structure_constants_einsum,
     structure_constants_loops,
+    structure_triples,
     su11_oracle,
 )
 
@@ -99,7 +102,7 @@ def test_model_dimensions(family, params, d, dim):
     assert np.linalg.eigvalsh(m.killing[np.ix_(li, li)]).max() < 0
     assert np.linalg.eigvalsh(m.killing[np.ix_(pi, pi)]).min() > 0
     # ad of the normalized center element squares to -Id on p
-    ads = np.einsum("ijk->ikj", m.structure)
+    ads = np.einsum("ijk->ikj", dense_structure(m.structure))
     ad_xi = np.einsum("i,iab->ab", m.xi_star, ads)[np.ix_(pi, pi)]
     assert np.max(np.abs(ad_xi @ ad_xi + np.eye(2 * d))) < 1e-9
 
@@ -337,8 +340,14 @@ def test_nonpositive_sectional_sampling():
 def test_model_curvature_matches_einsum_oracle(family, params):
     # half-dimensions 1, 2, 3, 4, 4
     m = build_model(family, params)
-    want = model_curvature_einsum(m.p_frame, m.structure, m.killing)
+    want = model_curvature_einsum(m.p_frame, dense_structure(m.structure), m.killing)
     assert rel_err(model_curvature(m).entries, want) <= 1e-12
+
+
+def _basis_of(family, params):
+    """The family's (N, m, m) basis: its l matrices, then its p matrices."""
+    l_mats, p_mats = liemodels._FAMILY_TABLE[family].basis(*params)
+    return np.array(l_mats + p_mats, dtype=float)
 
 
 # every family at its minimum parameters, then larger members
@@ -361,8 +370,8 @@ def test_oracle_models_cover_every_family():
 @pytest.mark.parametrize("family,params", ORACLE_MODELS)
 def test_lie_model_matches_einsum_oracle(family, params):
     m = build_model(family, params)
-    C, K = structure_constants_einsum(m.basis)
-    assert rel_err(m.structure, C) <= 1e-12
+    C, K = structure_constants_einsum(_basis_of(family, params))
+    assert rel_err(dense_structure(m.structure), C) <= 1e-12
     assert rel_err(m.killing, K) <= 1e-12
     want = model_curvature_einsum(m.p_frame, C, K)
     assert rel_err(model_curvature(m).entries, want) <= 1e-12
@@ -384,7 +393,7 @@ TABLE_ROWS = load_workloads().TABLE_MODELS
 
 @pytest.mark.parametrize("family,params", TABLE_ROWS)
 def test_structure_constants_are_exactly_antisymmetric(family, params):
-    C = build_model(family, params).structure
+    C = dense_structure(build_model(family, params).structure)
     assert np.array_equal(C, -np.einsum("ijk->jik", C))
     assert not np.any(np.einsum("iik->ik", C))
 
@@ -392,14 +401,15 @@ def test_structure_constants_are_exactly_antisymmetric(family, params):
 @pytest.mark.parametrize("family,params", TABLE_ROWS)
 def test_lie_model_kernels_match_loop_oracles(family, params):
     m = build_model(family, params)
-    assert np.array_equal(m.structure, np.rint(structure_constants_loops(m.basis)))
+    C = dense_structure(m.structure)
+    assert np.array_equal(C, np.rint(structure_constants_loops(_basis_of(family, params))))
     rw = model_curvature(m)
     assert rel_err(kappa(rw), kappa_dense(rw.entries)) <= 1e-12
     if m.flat:
         return
     L = m.l_dim
     G = m.killing[L:, L:]
-    Jp = np.einsum("i,ikj->jk", m.xi_star, m.structure)[L:, L:]  # ad(xi_star) on p
+    Jp = np.einsum("i,ikj->jk", m.xi_star, C)[L:, L:]  # ad(xi_star) on p
     assert rel_err(m.p_frame[:, L:], adapted_frame_loop(G, Jp, m.d)) <= 1e-12
     assert not np.any(m.p_frame[:, :L])
 
@@ -474,11 +484,11 @@ def test_closure_gates_refuse_any_off_grade_constant(monkeypatch, block, what):
     structure_constants = liemodels._structure_constants
 
     def perturbed(mats):
-        C = structure_constants(mats)
+        C = dense_structure(structure_constants(mats))
         i, j, k = block
         C[i, j, k] += 1e-10
         C[j, i, k] -= 1e-10
-        return C
+        return structure_triples(C)
 
     monkeypatch.setattr(liemodels, "_structure_constants", perturbed)
     with pytest.raises(ModelError, match=rf"^{what}: max \|C\| 1\.0e-10 > 0e\+00$"):
@@ -504,18 +514,18 @@ def test_gate_passes_its_bound_and_raises_just_above_it(bound):
 
 def test_model_curvature_rejects_a_structure_that_breaks_jacobi():
     m = build_model("su_pq", (2, 1))
-    C = m.structure.copy()
+    C = dense_structure(m.structure)
     L = m.l_dim
     C[L, L + 1, 0] += 1e-6  # [p_0, p_1] moves along l_0; C stays antisymmetric
     C[L + 1, L, 0] -= 1e-6
     with pytest.raises(TagError):
-        model_curvature(dataclasses.replace(m, structure=C))
+        model_curvature(dataclasses.replace(m, structure=structure_triples(C)))
 
 
-# so(16,2) raises ru_maxrss by about 69 MiB with one BLAS thread and 70 MiB with
-# two (83 and 84 when the Killing form took a transposed copy of all of C); kernels
-# that held all N^2 brackets (N = 153, 18 x 18) took 263 and 315
-BUILD_MEMORY_BUDGET_MIB = 180
+# so(16,2) raises ru_maxrss by about 12.6 MiB with one BLAS thread and 12.7 MiB with
+# two, so the budget leaves 7 MiB of margin; the dense (N, N, N) C (N = 153, 27 MiB)
+# took 69 and 70, and kernels that held all N^2 brackets of 18 x 18 took 263 and 315
+BUILD_MEMORY_BUDGET_MIB = 20
 
 
 def test_largest_model_builds_within_memory_budget():
@@ -604,11 +614,11 @@ def _killing_plus(m, eps, rng, sign):
 
 
 def _break_structure_antisymmetry(m, eps, rng):
-    C = m.structure.copy()
+    C = dense_structure(m.structure)
     L = m.l_dim
     block = C[L:, L:, :L]
     block += eps * np.max(np.abs(block)) * rng.standard_normal(block.shape)
-    return dataclasses.replace(m, structure=C)
+    return dataclasses.replace(m, structure=structure_triples(C))
 
 
 def _nan_in_killing(m, eps, rng):
@@ -632,7 +642,7 @@ FACTOR_BREAKS = {
 @pytest.mark.parametrize("name", sorted(FACTOR_BREAKS))
 def test_factor_proof_raises_what_the_dense_check_raises(monkeypatch, name, eps, family, params):
     m = FACTOR_BREAKS[name](build_model(family, params), eps, np.random.default_rng(7))
-    grid = model_curvature_einsum(m.p_frame, m.structure, m.killing)
+    grid = model_curvature_einsum(m.p_frame, dense_structure(m.structure), m.killing)
     space = make_space(m.d)
     with pytest.raises(ValueError) as dense:  # TagError is a ValueError
         Curv4(space, grid, spaces.KAHLER_TAGS)
@@ -652,7 +662,7 @@ def test_factor_proof_raises_what_the_dense_check_raises(monkeypatch, name, eps,
 def _raises_the_grid_checks_bianchi_error(m):
     """The factor proof, on both of its paths, and the dense check on the formed grid all
     refuse the model's curvature for its first Bianchi identity."""
-    grid = model_curvature_einsum(m.p_frame, m.structure, m.killing)
+    grid = model_curvature_einsum(m.p_frame, dense_structure(m.structure), m.killing)
     message = "declared tag 'bianchi_closed' fails its projector check"
     with pytest.raises(TagError, match=f"^{message}$"):
         Curv4(make_space(m.d), grid, spaces.KAHLER_TAGS)
@@ -677,11 +687,11 @@ def test_an_integer_edit_that_breaks_jacobi_fails_the_certificate(monkeypatch, f
     if budget is not None:  # one q and one l row per block
         monkeypatch.setattr(spaces, "_BLOCK_BYTES", budget)
     m = build_model(family, params)
-    C = m.structure.copy()
+    C = dense_structure(m.structure)
     L = m.l_dim
     block = C[L:, L:, :L]
     block[:, :, [l1, l2]] = block[:, :, [l2, l1]]
-    edited = dataclasses.replace(m, structure=C)
+    edited = dataclasses.replace(m, structure=structure_triples(C))
     assert liemodels._bianchi_certificate(m) and not liemodels._bianchi_certificate(edited)
     _raises_the_grid_checks_bianchi_error(edited)
 
@@ -696,9 +706,9 @@ def test_the_certificate_checks_jacobi_at_each_q_apart():
         a[i, (i + 1) % n], a[(i + 1) % n, i] = 1.0, -1.0
     C = np.zeros((n + 1,) * 3)
     C[1:, 1:, 0], C[0, 1:, 1:], C[1:, 0, 1:] = a, a, -a
-    model = SimpleNamespace(l_dim=1, structure=C, killing=np.eye(n + 1))
+    model = SimpleNamespace(l_dim=1, structure=structure_triples(C), killing=np.eye(n + 1))
     assert not liemodels._bianchi_certificate(model)
-    model.structure = np.zeros_like(C)
+    model.structure = structure_triples(np.zeros_like(C))
     assert liemodels._bianchi_certificate(model)
 
 
@@ -709,7 +719,7 @@ def test_an_edit_that_breaks_only_jacobi_fails_the_certificate(monkeypatch, budg
     if budget is not None:
         monkeypatch.setattr(spaces, "_BLOCK_BYTES", budget)
     m = build_model("su_pq", (3, 2))
-    C = m.structure.copy()
+    C = dense_structure(m.structure)
     L = m.l_dim
     C[L:, L:, [0, 1]] = C[L:, L:, [1, 0]]
     K = m.killing
@@ -717,7 +727,7 @@ def test_an_edit_that_breaks_only_jacobi_fails_the_certificate(monkeypatch, budg
     C[:L, L:, L:] = np.einsum("lm,zwm->lzw", K[:L, :L], C[L:, L:, :L]) / 20.0
     C[L:, :L, L:] = -np.einsum("lzw->zlw", C[:L, L:, L:])
     assert np.array_equal(C, np.rint(C))
-    edited = dataclasses.replace(m, structure=C)
+    edited = dataclasses.replace(m, structure=structure_triples(C))
     _raises_the_grid_checks_bianchi_error(edited)
 
 
@@ -740,10 +750,10 @@ def test_the_certificate_is_sufficient_not_necessary():
     # and its Bianchi identity, as they were; C no longer satisfies Jacobi, and the
     # factor proof refuses what the grid check passes: stricter, never looser
     m = build_model("su_pq", (2, 1))
-    C = m.structure.copy()
+    C = dense_structure(m.structure)
     L = m.l_dim
     C[L:, L:, [0, 1]] = C[L:, L:, [1, 0]]
-    edited = dataclasses.replace(m, structure=C)
+    edited = dataclasses.replace(m, structure=structure_triples(C))
     Curv4(make_space(m.d), model_curvature_einsum(edited.p_frame, C, m.killing), spaces.KAHLER_TAGS)
     with pytest.raises(TagError, match="bianchi_closed"):
         model_curvature(edited)
@@ -755,7 +765,7 @@ def test_bianchi_bound_covers_the_formed_grid_and_is_far_below_tol(family, param
     rw = model_curvature(m)
     L, n = m.l_dim, rw.space.n
     frame = m.p_frame[:, L:].T
-    F = spaces.slot_contract(m.structure[L:, L:, :L], frame, frame).reshape(n * n, L)
+    F = spaces.slot_contract(dense_structure(m.structure)[L:, L:, :L], frame, frame).reshape(n * n, L)
     K = m.killing[:L, :L]
     k = max(np.max(np.sum(np.abs(K), axis=0)), np.max(np.sum(np.abs(K), axis=1)))
     bound = liemodels._bianchi_bound(m, np.max(np.sum(np.abs(F), axis=1)), k, np.max(np.abs(F)))
@@ -843,16 +853,14 @@ def test_kappa_is_scale_covariant_at_any_scale(t):
 
 
 def _structure_of(family, params):
-    l_mats, p_mats = liemodels._FAMILY_TABLE[family].basis(*params)
-    return liemodels._structure_constants(np.array(l_mats + p_mats, dtype=float))
+    return liemodels._structure_constants(_basis_of(family, params))
 
 
 @pytest.mark.parametrize("family,params", list(TABLE_ROWS) + [("so_p_2", (16,))])
 def test_killing_form_matches_the_einsum_oracle(family, params):
     C = _structure_of(family, params)
     K = liemodels._killing_form(C)
-    want = killing_form_einsum(C)
-    assert np.max(np.abs(K - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(K, killing_form_einsum(dense_structure(C)))
 
 
 def test_killing_form_does_not_depend_on_the_runs(monkeypatch):
@@ -865,7 +873,7 @@ def test_killing_form_does_not_depend_on_the_runs(monkeypatch):
 @pytest.mark.parametrize("family,params", list(TABLE_ROWS) + [("su_pq", (5, 4))])
 def test_structure_constants_and_killing_form_are_exact_integers(family, params):
     m = build_model(family, params)
-    C, K = m.structure, m.killing
+    C, K = m.structure.v, m.killing
     assert np.array_equal(C, np.rint(C)) and np.array_equal(K, np.rint(K))
     assert np.array_equal(K, K.T)
 
@@ -883,7 +891,8 @@ def test_killing_form_is_bit_identical_under_any_run_budget(row, budget):
 
 
 def test_killing_form_of_so16_2_stays_within_the_block_budget():
-    # N = 153: the transposed copy of all of C that an einsum takes is 27 MiB
+    # N = 153: the join of C's 4,896 entries holds 0.51 MiB beside K (the transposed copy
+    # of a dense C that an einsum takes is 27 MiB)
     C = _structure_of("so_p_2", (16,))
     tracemalloc.start()
     try:
@@ -891,26 +900,65 @@ def test_killing_form_of_so16_2_stays_within_the_block_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - K.nbytes <= 2 * 2**20
+    assert peak - K.nbytes <= 2**20
 
 
-# rows larger than the table's: N = 153 brackets of 18 x 18 matrices, N = 80 of 18 x 18
-@pytest.mark.parametrize("family,params", [("so_p_2", (16,)), ("su_pq", (5, 4))])
+# rows larger than the table's: N = 153 brackets of 18 x 18 matrices, N = 80 of 18 x 18,
+# N = 66 of 24 x 24 and N = 168 of 26 x 26
+@pytest.mark.parametrize(
+    "family,params", [("so_p_2", (16,)), ("su_pq", (5, 4)), ("so_star_2p", (6,)), ("su_pq", (8, 5))]
+)
 def test_structure_constants_of_large_rows_match_the_loop_oracle(family, params):
-    l_mats, p_mats = liemodels._FAMILY_TABLE[family].basis(*params)
-    mats = np.array(l_mats + p_mats, dtype=float)
-    assert rel_err(liemodels._structure_constants(mats), structure_constants_loops(mats)) <= 1e-12
+    mats = _basis_of(family, params)
+    C = dense_structure(liemodels._structure_constants(mats))
+    assert np.array_equal(C, np.rint(structure_constants_loops(mats)))
+
+
+@st.composite
+def small_members(draw):
+    """A family with a matrix model and small parameters, at most three above its minimum."""
+    family = draw(st.sampled_from(FAMILIES))
+    fam = liemodels._FAMILY_TABLE[family]
+    return family, tuple(draw(st.integers(fam.min_param, fam.min_param + 3)) for _ in fam.param_names)
+
+
+@given(member=small_members())
+def test_structure_triples_match_the_loop_and_dense_oracles(member):
+    mats = _basis_of(*member)
+    C = liemodels._structure_constants(mats)
+    key = (C.i * C.dim + C.j) * C.dim + C.k
+    assert np.all(np.diff(key) > 0) and np.all(C.v)  # distinct nonzeros, in (i, j, k) order
+    dense = dense_structure(C)
+    assert np.array_equal(dense, np.rint(structure_constants_loops(mats)))
+    assert np.array_equal(dense, structure_constants_dense(mats))  # the pseudo-inverse path's C
+
+
+@pytest.mark.parametrize("family,params", TABLE_ROWS)
+def test_structure_triples_equal_the_dense_path_on_table_rows(family, params):
+    m = build_model(family, params)
+    C = dense_structure(m.structure)
+    assert np.array_equal(C, structure_constants_dense(_basis_of(family, params)))
+    assert np.array_equal(m.killing, killing_form_einsum(C))
+
+
+def _structure_peak(family, params):
+    """The tracemalloc peak of building the row's structure-constant triples, in bytes."""
+    mats = _basis_of(family, params)
+    tracemalloc.start()
+    try:
+        liemodels._structure_constants(mats)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_structure_constants_of_so16_2_stay_within_a_few_rows():
-    # one bracket row at a time: beside C it holds a row's brackets, coordinates and
-    # residual and the pseudo-inverse, 2.1 MiB (packed runs of rows held 5.4 MiB)
-    l_mats, p_mats = liemodels._FAMILY_TABLE["so_p_2"].basis(16)
-    mats = np.array(l_mats + p_mats, dtype=float)
-    tracemalloc.start()
-    try:
-        C = liemodels._structure_constants(mats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - C.nbytes <= 3 * 2**20
+    # the joins of the sparse basis peak at 1.52 MiB, C's triples included; the dense
+    # C alone was 27 MiB, and its row-by-row build held 2.1 MiB beside it
+    assert _structure_peak("so_p_2", (16,)) <= 2 * 2**20
+
+
+def test_structure_constants_of_su10_8_hold_no_dense_array():
+    # N = 323 elements of 36 x 36: the triples' build peaks at 11.9 MiB, where the
+    # dense C is 270 MB
+    assert _structure_peak("su_pq", (10, 8)) <= 16 * 2**20
