@@ -204,8 +204,12 @@ _BLOCK = 128  # planes per batched draw: each draw has a fixed cost; 256 raised 
 
 
 def _wedge_op(rw: Curv4) -> tuple:
-    """(hat(rw).entries, a, b), with (a, b) the wedge pairs of `_wedge_indices`."""
-    return (hat(rw).entries, *_wedge_indices(rw.space))
+    """(hat(rw).entries with zero rows up to a multiple of 8, a, b), with (a, b) the wedge
+    pairs of `_wedge_indices`; `_plane_curvatures` says why."""
+    q = hat(rw).entries
+    qhat = np.zeros((len(q) + -len(q) % 8, len(q)))
+    qhat[: len(q)] = q
+    return (qhat, *_wedge_indices(rw.space))
 
 
 def _plane_curvatures(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -219,6 +223,9 @@ def _plane_curvatures(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     product with m = n(n-1)/2 (a complex w enters it as [Re w; Im w]), and
     by Lagrange's identity |w|^2 is the Gram determinant
     |X|^2 |Y|^2 - |<X, conj Y>|^2 without its cancellation.
+    OpenBLAS sums a ragged last column block, or an inner dimension past its kernel's
+    block, differently under another thread count; qhat's padded rows and inner runs
+    of 128, added in order, keep every entry independent of it.
     """
     qhat, a, b = op
     w = X[:, a] * Y[:, b] - X[:, b] * Y[:, a]
@@ -226,11 +233,13 @@ def _plane_curvatures(op: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     keep = den > 1e-14
     if not keep.all():  # a degenerate plane is rare: gather only then
         w, den = w[keep], den[keep]
+    x = np.concatenate((w.real, w.imag)) if np.iscomplexobj(w) else w
+    p = x[:, :128] @ qhat[:, :128].T
+    for k in range(128, x.shape[1], 128):
+        p += x[:, k : k + 128] @ qhat[:, k : k + 128].T
+    p = p[:, : x.shape[1]]
     if np.iscomplexobj(w):
-        p = np.concatenate((w.real, w.imag)) @ qhat.T
         p = p[: len(w)] + 1j * p[len(w) :]
-    else:
-        p = w @ qhat.T
     num = np.vecdot(w, p)  # vecdot conjugates w
     if np.any(np.abs(num.imag) > TOL * np.maximum(1.0, np.abs(num.real))):
         raise ArithmeticError("complex sectional value is not real")

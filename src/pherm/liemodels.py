@@ -334,8 +334,8 @@ def _structure_constants(mats: np.ndarray) -> _Triples:
 
 
 def _gate(what: str, value: float, bound: float) -> None:
-    """Raise a ModelError naming what was measured, its value and its bound unless value <= bound."""
-    if not value <= bound:
+    """Raise a ModelError naming what was measured, its value and its bound when value > bound."""
+    if value > bound:
         raise ModelError(f"{what} {value:.1e} > {bound:.0e}")
 
 
@@ -415,7 +415,9 @@ def build_model(family: str, params: Sequence[int]) -> LieModel:
     z[np.abs(z) < 1e-12 * np.max(np.abs(z))] = 0.0
 
     i, b, a, v = _entries(C, L, "lpp")
-    S = np.bincount(a * P + b, weights=z[i] * v, minlength=P * P).reshape(P, P)  # ad z on p, on coordinates
+    B = np.zeros((L, P, P))  # C[l, p, p], as large as W
+    B[i, b, a] = v
+    S = np.einsum("i,iba->ab", z, B)  # ad z on p, acting on coordinates
     S2 = S @ S
     c2 = -np.trace(S2) / P
     resid = np.max(np.abs(S2 + c2 * np.eye(P)))

@@ -546,10 +546,7 @@ class _Streams:
     The seeds of one `_Streams` have the same number of parts (`check_seed`)."""
 
     def __init__(self, seeds):
-        rows = [seed if isinstance(seed, (tuple, list)) else (seed,) for seed in seeds]
-        if not all(row and all(type(x) is int and 0 <= x < 2**64 for x in row) for row in rows):
-            rows = [check_seed(seed) for seed in seeds]  # raises for the failing part; or numpy ints
-        parts = np.array(rows, dtype=np.uint64)
+        parts = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
         keys = np.zeros(len(parts), dtype=np.uint64)
         for part in parts.T:
             keys += _GAMMA

@@ -510,11 +510,35 @@ def test_model_and_verify_never_import_numpy_random():
         # rows whose reports depend on the thread count unless C and K are exact
         ["table", "--family", "so_p_2", "--params", "8", "--family", "su_pq", "--params", "5,4"],
         ["model", "--family", "so_p_2", "--params", "8", "--samples", "100"],
+        # m = 780 wedge pairs: the sampler's product is longer than a BLAS kernel's block
+        ["model", "--family", "su_pq", "--params", "5,4"],
     ],
-    ids=["table", "table-so8_2-su5_4", "model-so8_2"],
+    ids=["table", "table-so8_2-su5_4", "model-so8_2", "model-su5_4"],
 )
 def test_reports_are_byte_identical_on_one_and_two_blas_threads(argv):
     one, two = (run_cli(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout and two.stdout == one.stdout
+
+
+def test_plane_curvatures_are_bit_identical_on_one_and_two_blas_threads():
+    # real and complex planes, 1 to 128 of them, on grids of side n = 4 to 40 (m = 6 to 780
+    # wedge pairs): ragged product columns and inner dimensions past a kernel's block
+    code = (
+        "import hashlib\n"
+        "from pherm.invariants import _plane_curvatures, _wedge_op\n"
+        "from pherm.spaces import _Streams, make_space, random_curv4\n"
+        "h = hashlib.sha256()\n"
+        "for d in (2, 5, 7, 9, 12, 20):\n"
+        "    op = _wedge_op(random_curv4(make_space(d), {'pair_symmetric'}, d))\n"
+        "    for k in (1, 37, 128):\n"
+        "        (v,) = _Streams([(d, k)]).normals((4, k, 2 * d))\n"
+        "        X, Y, Z, W = v[0]\n"
+        "        h.update(_plane_curvatures(op, X, Y).tobytes())\n"
+        "        h.update(_plane_curvatures(op, X + 1j * Y, Z + 1j * W).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    one, two = (run_python("-c", code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout and two.stdout == one.stdout
 

@@ -7,7 +7,6 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -863,31 +862,12 @@ def test_killing_form_matches_the_einsum_oracle(family, params):
     assert np.array_equal(K, killing_form_einsum(dense_structure(C)))
 
 
-def test_killing_form_does_not_depend_on_the_runs(monkeypatch):
-    C = _structure_of("su_pq", (4, 3))  # N = 48: one run of the default budget
-    default = liemodels._killing_form(C)
-    monkeypatch.setattr(spaces, "_BLOCK_BYTES", 0)  # one a per run
-    assert np.max(np.abs(liemodels._killing_form(C) - default)) <= 1e-15 * np.max(np.abs(default))
-
-
 @pytest.mark.parametrize("family,params", list(TABLE_ROWS) + [("su_pq", (5, 4))])
 def test_structure_constants_and_killing_form_are_exact_integers(family, params):
     m = build_model(family, params)
     C, K = m.structure.v, m.killing
     assert np.array_equal(C, np.rint(C)) and np.array_equal(K, np.rint(K))
     assert np.array_equal(K, K.T)
-
-
-# rows whose K changes bits with the run budget unless C is exact
-_EXACT_C = {row: _structure_of(*row) for row in [("so_p_2", (8,)), ("su_pq", (4, 3))]}
-
-
-@given(row=st.sampled_from(sorted(_EXACT_C)), budget=st.integers(0, 2**20))
-def test_killing_form_is_bit_identical_under_any_run_budget(row, budget):
-    C = _EXACT_C[row]
-    default = liemodels._killing_form(C)
-    with mock.patch.object(spaces, "_BLOCK_BYTES", budget):
-        assert np.array_equal(liemodels._killing_form(C), default)
 
 
 def test_killing_form_of_so16_2_stays_within_the_block_budget():

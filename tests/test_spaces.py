@@ -752,17 +752,6 @@ def test_check_seed_names_the_part_it_refuses(seed, message):
         _Streams([0, seed] if not isinstance(seed, tuple) else [seed])
 
 
-def test_a_block_of_plain_int_seeds_is_checked_in_one_pass(monkeypatch):
-    # check_seed runs only for a block with a part outside the plain-int fast path
-    calls, check = [], spaces.check_seed
-    monkeypatch.setattr(spaces, "check_seed", lambda *a: calls.append(a) or check(*a))
-    plain = _Streams([(0, t, 3) for t in range(5)] + [(2**64 - 1, 0, 0)])
-    assert calls == []
-    mixed = _Streams([(0, t, np.int64(3)) for t in range(5)] + [(np.uint64(2**64 - 1), 0, 0)])
-    assert len(calls) == 6
-    assert np.array_equal(plain.normals(4)[0], mixed.normals(4)[0])
-
-
 @given(seed=st.one_of(_PART, _SEED3), k=st.integers(0, 40), l=st.integers(0, 40))
 def test_normals_drawn_k_then_l_are_the_first_k_plus_l(seed, k, l):
     apart = _Streams([seed])
